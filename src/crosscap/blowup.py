@@ -24,11 +24,12 @@ absence of complex points.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .cpoints import ParamPiece, ParamSurface
-from .errors import BadParams, FactorizationFailed, SingularMatch
+from .errors import BadParams, FactorizationFailed
 from .linespace import OrientedLine
 from .wirtinger import MonomialField
 
@@ -305,14 +306,19 @@ class C2Constants:
     quoted_d2_residual: float
 
 
+def _fma(x, y, z):
+    """x * y + z with a single rounding, as a fused multiply-add."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
 def c2_constants(r0):
     """Solve the C2 seam match and compare with the closed-form constants
     quoted for this construction.
 
     The outer profile a + b t + c t^2 must match Q(t) = (1 + t^2(1-t))^2 t^2
-    in value, first and second derivative at t0 = 1 - R0^2; the 3x3 linear
-    solve is the ground truth.  The quoted polynomials in R0 are evaluated
-    alongside and their seam residuals reported.
+    in value, first and second derivative at t0 = 1 - R0^2; the solution of
+    that triangular system is the ground truth.  The quoted polynomials in R0
+    are evaluated alongside and their seam residuals reported.
     """
     if not (INNER_RADIUS_FLOOR < r0 < 1.0):
         raise BadParams("need 3^(-1/2) < R0 < 1")
@@ -321,10 +327,12 @@ def c2_constants(r0):
     q0 = complex(Q.eval_pair(t0, 0.0)).real
     q1 = complex(Q.d_xi().eval_pair(t0, 0.0)).real
     q2 = complex(Q.d_xi().d_xi().eval_pair(t0, 0.0)).real
-    M = np.array([[1.0, t0, t0 * t0], [0.0, 1.0, 2.0 * t0], [0.0, 0.0, 2.0]])
-    if abs(np.linalg.det(M)) < 1e-300:
-        raise SingularMatch("seam-matching system is singular")
-    a, b, c = np.linalg.solve(M, np.array([q0, q1, q2]))
+    # the match matrix [[1, t0, t0^2], [0, 1, 2 t0], [0, 0, 2]] is upper
+    # triangular with determinant 2: back-substitute, each step rounded once
+    # (the bits of a LAPACK solve on hardware with fused multiply-add)
+    c = q2 / 2.0
+    b = _fma(-2.0 * t0, c, q1)
+    a = _fma(-b, t0, _fma(-c, t0 * t0, q0))
 
     y = r0 * r0
     a_q = -((1.0 - y) ** 4) * (5.0 + 2.0 * y - 46.0 * y ** 2 + 54.0 * y ** 3 - 21.0 * y ** 4)
@@ -334,9 +342,9 @@ def c2_constants(r0):
         + 225.0 * y ** 4 - 126.0 * y ** 5 + 28.0 * y ** 6
     )
     return C2Constants(
-        a=float(a),
-        b=float(b),
-        c=float(c),
+        a=a,
+        b=b,
+        c=c,
         quoted=(a_q, b_q, c_q),
         quoted_value_residual=a_q + b_q * t0 + c_q * t0 * t0 - q0,
         quoted_d1_residual=b_q + 2.0 * c_q * t0 - q1,

@@ -120,8 +120,9 @@ def _crosscap_from_params(params):
         )
         return bl.build_c1_crosscap(p), p
     if kind == "c2":
+        p = bl.C2CrossCapParams(r0=float(r0))
         inner = float(params.get("inner_radius", 0.6))
-        return bl.build_c2_crosscap(float(r0), inner_radius=inner), None
+        return bl.build_c2_crosscap(p.r0, inner_radius=inner), p
     if kind == "simple":
         return bl.simple_crosscap_surface(float(params.get("inner_radius", 3 ** -0.5))), None
     raise ValueError(f"unknown cross-cap kind {kind!r}")
@@ -134,9 +135,7 @@ def cmd_section(args):
     ax = np.linspace(-args.disc, args.disc, 41)
     zz = ax[None, :] + 1j * ax[:, None]
     defects = se.lagrangian_defect(sec, zz)
-    tr = np.array(
-        [[se.totally_real_defect(support, complex(z)) for z in row] for row in zz]
-    )
+    tr = se.totally_real_defect(support, zz)
     payload = {
         "support": _field_payload(support.r),
         "F": {"num": _field_payload(sec.F.num), "den_power": sec.F.den_power},
@@ -193,7 +192,8 @@ def cmd_blowup(args):
             ],
         },
     }
-    if p is not None:
+    kind = params.get("kind", "c1")
+    if kind == "c1":
         a, b = bl.c1_matching_constants(p.c, p.r0)
         payload["constants"] = {"a": a, "b": b, "c": p.c}
         if p.alpha == 1:
@@ -206,10 +206,8 @@ def cmd_blowup(args):
                 "expected_det_abs": crit.expected_det_abs,
                 "definiteness": crit.definiteness,
             }
-    if params.get("kind", "c1") == "c2":
-        consts = bl.c2_constants(
-            float(params.get("r0") or np.sqrt(params["r0_sq"]))
-        )
+    elif kind == "c2":
+        consts = bl.c2_constants(p.r0)
         payload["constants"] = {
             "a": consts.a,
             "b": consts.b,
@@ -218,7 +216,7 @@ def cmd_blowup(args):
             "quoted_value_residual": consts.quoted_value_residual,
         }
     if args.samples_out:
-        lines = ["nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im"]
+        blocks = []
         for piece in surf.pieces:
             radii = np.linspace(piece.rho_in, piece.rho_out, 16)
             theta = 2.0 * np.pi * np.arange(32) / 32
@@ -226,13 +224,14 @@ def cmd_blowup(args):
             xis = piece.xi_expr.eval(nus)
             etas = piece.eta_expr.eval(nus)
             ws = piece.defect_field().eval(nus)
-            for nu, xi, eta, w in zip(nus, xis, etas, ws):
-                lines.append(
-                    f"{nu.real!r},{nu.imag!r},{xi.real!r},{xi.imag!r},"
-                    f"{eta.real!r},{eta.imag!r},{w.real!r},{w.imag!r}"
-                )
+            blocks.append(
+                np.column_stack([nus.real, nus.imag, xis.real, xis.imag,
+                                 etas.real, etas.imag, ws.real, ws.imag])
+            )
         with open(args.samples_out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(
+                eu.csv_text("nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im", np.vstack(blocks))
+            )
     _emit(_dumps(payload), args.out)
     return 0
 

@@ -101,6 +101,10 @@ def surface_defect(S, nu):
     return piece.defect_field().eval(nu)
 
 
+def classify_index(index):
+    return {1: "elliptic", -1: "hyperbolic"}.get(index, "degenerate")
+
+
 @dataclass(frozen=True)
 class ComplexPointReport:
     """An isolated complex point: location, classification, index and the
@@ -112,17 +116,12 @@ class ComplexPointReport:
     loop_radius: float
 
     def __post_init__(self):
-        expected = {1: "elliptic", -1: "hyperbolic"}.get(self.index, "degenerate")
-        if self.kind != expected:
+        if self.kind != classify_index(self.index):
             raise ValueError(f"kind {self.kind!r} inconsistent with index {self.index}")
 
     @property
     def umbilic_index(self):
         return Fraction(self.index, 2)
-
-
-def classify_index(index):
-    return {1: "elliptic", -1: "hyperbolic"}.get(index, "degenerate")
 
 
 def section_complex_index(F, xi0, loop_radius, min_mag=1e-9):
@@ -151,26 +150,6 @@ def _index_with_radius(F, xi0, loop_radius, min_mag=1e-9):
     ) from last
 
 
-def _newton_refine(W, Wxi, Wxibar, z0):
-    """Drive |W| below NEWTON_TOL with the exact 2x2 real Jacobian."""
-    z = complex(z0)
-    for _ in range(NEWTON_MAX_ITER):
-        w = W.eval(z)
-        if abs(w) < NEWTON_TOL:
-            return z, True
-        dz = Wxi.eval(z)
-        dzb = Wxibar.eval(z)
-        dx = dz + dzb            # dW/dx1
-        dy = 1j * (dz - dzb)     # dW/dx2
-        J = np.array([[dx.real, dy.real], [dx.imag, dy.imag]])
-        try:
-            step = np.linalg.solve(J, np.array([w.real, w.imag]))
-        except np.linalg.LinAlgError:
-            return z, abs(w) < NEWTON_TOL
-        z = complex(z.real - step[0], z.imag - step[1])
-    return z, abs(W.eval(z)) < NEWTON_TOL
-
-
 def _sign_change_cells(values):
     sgn = np.sign(values)
     cmax = np.maximum.reduce([sgn[:-1, :-1], sgn[:-1, 1:], sgn[1:, :-1], sgn[1:, 1:]])
@@ -178,14 +157,88 @@ def _sign_change_cells(values):
     return (cmax >= 0) & (cmin <= 0)
 
 
+def _disc_grid(center, radius, grid_n):
+    """The square grid_n x grid_n lattice around the disc, and its step."""
+    ax = np.linspace(-radius, radius, grid_n)
+    return center + ax[None, :] + 1j * ax[:, None], float(ax[1] - ax[0])
+
+
+def _isolated_zeros(field, jacobian, center, radius, grid_n, tol, accept, max_iter, values=None):
+    """Isolated zeros of a planar field in a disc, each with a winding-loop radius.
+
+    ``field(pts)`` gives the field as complex values and ``jacobian(pts)`` its
+    derivatives along x1 and x2; ``values`` may hold the field already
+    evaluated on ``_disc_grid``.  Cells of the grid where both the real and
+    the imaginary part change sign are seeded from their corner of least
+    modulus, and one array Newton iteration runs every seed.  A seed is
+    dropped when its Jacobian is singular or an iterate leaves the disc
+    widened by one grid step, so no evaluation leaves the chart; it converges
+    when the modulus falls below ``tol``, or below ``accept`` after
+    ``max_iter`` steps.  Roots closer than half a grid step merge into the
+    one from the better seed.
+
+    Returns ``(zero, loop_radius)`` for the zeros in the closed disc, nearest
+    the center first.  The loop radius is half the distance to the nearest
+    other zero or to the rim (at least a step away), and at least a quarter
+    step.
+    """
+    grid, step = _disc_grid(center, radius, grid_n)
+    if values is None:
+        values = field(grid)
+    mag = np.abs(values)
+    i, j = np.nonzero(_sign_change_cells(values.real) & _sign_change_cells(values.imag))
+    corner = np.argmin([mag[i, j], mag[i, j + 1], mag[i + 1, j], mag[i + 1, j + 1]], axis=0)
+    is_seed = np.zeros(grid.shape, dtype=bool)
+    is_seed[i + corner // 2, j + corner % 2] = True
+    seeds = np.flatnonzero(is_seed)
+    seeds = seeds[np.argsort(mag.flat[seeds], kind="stable")]
+    z = grid.flat[seeds]
+    bound = radius + step
+    rank = np.flatnonzero(np.abs(z - center) <= bound)
+    z = z[rank]
+
+    found = []
+    for it in range(max_iter + 1):
+        w = field(z)
+        done = np.abs(w) < (tol if it < max_iter else accept)
+        found.extend(zip(rank[done], z[done]))
+        z, w, rank = z[~done], w[~done], rank[~done]
+        if it == max_iter or not z.size:
+            break
+        dx, dy = jacobian(z)
+        det = dx.real * dy.imag - dy.real * dx.imag
+        # a singular Jacobian gives a non-finite iterate, which the disc test drops
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta_x1 = (dy.imag * w.real - dy.real * w.imag) / det
+            delta_x2 = (dx.real * w.imag - dx.imag * w.real) / det
+        z = z - (delta_x1 + 1j * delta_x2)
+        keep = np.abs(z - center) <= bound
+        z, rank = z[keep], rank[keep]
+
+    roots = []
+    for _, root in sorted(found, key=lambda pair: pair[0]):
+        if all(abs(root - other) >= 0.5 * step for other in roots):
+            roots.append(complex(root))
+    roots = sorted(
+        (z for z in roots if abs(z - center) <= radius),
+        key=lambda z: (abs(z - center), z.real, z.imag),
+    )
+    out = []
+    for z in roots:
+        gap = min((abs(z - other) for other in roots if other != z), default=float("inf"))
+        to_rim = max(radius - abs(z - center), step)
+        out.append((z, max(0.5 * min(gap, to_rim), 0.25 * step)))
+    return out
+
+
 def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     """Locate and classify the zeros of dbar F inside a disc.
 
-    Grid sign structure of (Re, Im) proposes candidate cells; Newton
-    refinement with the exact Jacobian polishes each zero, and the index
-    comes from a winding loop of half the distance to the nearest other
-    zero.  Raises ``DegenerateZeroCurve`` when the zeros are not isolated
-    (a vanishing field, or winding loops that cannot avoid zeros).
+    ``_isolated_zeros`` finds each zero, using the exact Jacobian of dbar F,
+    and the index comes from a winding loop of half the distance to the
+    nearest other zero.  Raises ``DegenerateZeroCurve`` when the zeros are
+    not isolated (a vanishing field, or winding loops that cannot avoid
+    zeros).
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
@@ -194,28 +247,15 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
         raise DegenerateZeroCurve("dbar F vanishes identically on the disc")
     Wxi, Wxibar = d_xi(W), d_xibar(W)
 
-    ax = np.linspace(-radius, radius, grid_n)
-    zz = center + ax[None, :] + 1j * ax[:, None]
-    vals = W.eval(zz)
-    cells = _sign_change_cells(vals.real) & _sign_change_cells(vals.imag)
-    step = ax[1] - ax[0]
-
-    roots = []
-    for i, j in np.argwhere(cells):
-        seed = zz[i, j] + 0.5 * step * (1 + 1j)
-        z, ok = _newton_refine(W, Wxi, Wxibar, seed)
-        if not ok or abs(z - center) > radius + step:
-            continue
-        if all(abs(z - r) > 1e-8 for r in roots):
-            roots.append(z)
-    roots.sort(key=lambda z: (abs(z - center), z.real, z.imag))
+    def jacobian(pts):
+        dz, dzb = Wxi.eval(pts), Wxibar.eval(pts)
+        return dz + dzb, 1j * (dz - dzb)
 
     reports = []
-    for z in roots:
-        others = [abs(z - r) for r in roots if r != z]
-        gap = min(others) if others else float("inf")
-        to_boundary = max(radius - abs(z - center), step)
-        loop_radius = max(0.5 * min(gap, to_boundary), 0.25 * step)
+    for z, loop_radius in _isolated_zeros(
+        W.eval, jacobian, center, radius, grid_n,
+        tol=NEWTON_TOL, accept=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+    ):
         try:
             index, used = _index_with_radius(F, z, loop_radius)
         except (VanishingOnLoop, UnresolvedWinding) as exc:

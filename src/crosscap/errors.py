@@ -45,10 +45,6 @@ class FactorizationFailed(RuntimeError):
     """An expected exact polynomial factorization did not hold."""
 
 
-class SingularMatch(RuntimeError):
-    """The seam-matching linear system was singular (defensive; not expected in range)."""
-
-
 class NotHyperbolic(ValueError):
     """A blow-up removal targeted a complex point whose index is not -1."""
 

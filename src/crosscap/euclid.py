@@ -23,9 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cpoints import _disc_grid, _isolated_zeros
 from .errors import EmptyMesh, NotImmersed
 from .linespace import line_to_vectors, vectors_to_line
-from .wirtinger import Loop, MonomialField, RationalField, winding_of
+from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, winding_of
 
 # Calibrated once on the cubic support example (umbilic of index -1/2):
 # the winding of the traceless component equals twice the foliation index.
@@ -46,14 +47,6 @@ def point_from_line(xi, eta, r_value):
     w = (2.0 * (e - np.conj(e) * z * z) + 2.0 * z * (1.0 + s) * r) / den
     x3 = (-2.0 * (e * np.conj(z) + np.conj(e) * z) + (1.0 - s * s) * r) / den
     return np.stack([w.real, w.imag, x3.real], axis=-1)
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A mesh vertex: Euclidean position and its Gauss-map parameter."""
-
-    x: np.ndarray
-    xi: complex
 
 
 class MeshR3:
@@ -87,9 +80,6 @@ class MeshR3:
     @property
     def shape(self):
         return self.points.shape[:2]
-
-    def point(self, i, j):
-        return SurfacePoint(x=self.points[i, j], xi=complex(self.xis[i, j]))
 
 
 def reconstruct_surface(F, r, C, disc_radius=0.9, grid=(24, 48), attach_defect=False):
@@ -165,7 +155,6 @@ def _direction_array(zz):
 
 def _coordinate_fields(F, r, C):
     """The three Euclidean coordinates of the reconstruction as rational fields."""
-    one_plus_s = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
     xi = MonomialField.xi()
     xibar = MonomialField.xibar()
     s = MonomialField({(1, 1): 1.0})
@@ -174,8 +163,8 @@ def _coordinate_fields(F, r, C):
     Nb = N.conj()
     R = r.r + MonomialField.constant(C)
     den = p + 2
-    num12 = 2.0 * (N - Nb * xi * xi) + 2.0 * xi * one_plus_s ** (p + 1) * R
-    num3 = -2.0 * (N * xibar + Nb * xi) + (MonomialField.constant(1.0) - s) * one_plus_s ** (
+    num12 = 2.0 * (N - Nb * xi * xi) + 2.0 * xi * ONE_PLUS_S ** (p + 1) * R
+    num3 = -2.0 * (N * xibar + Nb * xi) + (MonomialField.constant(1.0) - s) * ONE_PLUS_S ** (
         p + 1
     ) * R
     x1 = RationalField(0.5 * (num12 + num12.conj()), den)
@@ -277,68 +266,50 @@ def principal_analysis(
     """Locate isolated umbilics of the reconstructed surface and their indices.
 
     Works on the traceless part of the shape operator expressed in an
-    orthonormal tangent frame: umbilics are its zeros, located by a grid
-    scan plus Newton refinement, and the half-integer index is the
-    calibrated winding of its complex component p + i q halved.
+    orthonormal tangent frame: umbilics are the zeros of its complex
+    component p + i q, located by the zero finder of ``cpoints`` with a
+    five-point Jacobian, and the half-integer index is the calibrated winding
+    of p + i q halved.
     """
     shape = _ShapeOperatorField(F, r, C)
-    ax = np.linspace(-disc_radius, disc_radius, grid_n)
-    zz = ax[None, :] + 1j * ax[:, None]
+    zz, _ = _disc_grid(0j, disc_radius, grid_n)
     mask = np.abs(zz) <= disc_radius
     p, q, defect, det_I = shape.evaluate(zz)
     scale = float(np.median(np.hypot(p, q) + defect) + np.max(defect))
     max_defect = float(np.max(defect[mask]))
+    min_det_I = float(np.min(det_I[mask]))
 
     if max_defect <= flat_tol * max(1.0, scale):
         return PrincipalReport(
-            umbilics=(),
-            totally_umbilic=True,
-            max_defect=max_defect,
-            min_det_I=float(np.min(det_I[mask])),
+            umbilics=(), totally_umbilic=True, max_defect=max_defect, min_det_I=min_det_I
         )
-
-    step = ax[1] - ax[0]
-    candidates = []
-    interior = defect.copy()
-    interior[~mask] = np.inf
-    for i in range(1, grid_n - 1):
-        for j in range(1, grid_n - 1):
-            v = interior[i, j]
-            if not np.isfinite(v) or v > 0.25 * max_defect:
-                continue
-            patch = interior[i - 1 : i + 2, j - 1 : j + 2]
-            if v <= patch.min():
-                candidates.append(zz[i, j])
-
-    roots = []
-    for seed in candidates:
-        z = _refine_umbilic(shape, seed)
-        if z is None or abs(z) > disc_radius:
-            continue
-        _, _, dv, _ = shape.evaluate(np.array([z]))
-        if dv[0] > defect_tol * max(1.0, scale):
-            continue
-        if all(abs(z - other) > 1e-6 for other in roots):
-            roots.append(z)
-    roots.sort(key=lambda z: (abs(z), z.real, z.imag))
 
     def traceless(pts):
         pv, qv, _, _ = shape.evaluate(pts)
         return pv + 1j * qv
 
+    def jacobian(pts, h=1e-6):
+        xp, xm, yp, ym = np.split(
+            traceless(np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])), 4
+        )
+        return (xp - xm) / (2 * h), (yp - ym) / (2 * h)
+
+    zeros = _isolated_zeros(
+        traceless, jacobian, 0j, disc_radius, grid_n,
+        tol=1e-11, accept=1e-9, max_iter=40, values=p + 1j * q,
+    )
+    _, _, defects, _ = shape.evaluate(np.array([z for z, _ in zeros], dtype=complex))
     umbilics = []
-    for z in roots:
-        others = [abs(z - other) for other in roots if other != z]
-        gap = min(others) if others else float("inf")
-        loop_radius = max(0.5 * min(gap, disc_radius - abs(z) + step), 0.5 * step)
+    for (z, loop_radius), dv in zip(zeros, defects):
+        if dv > defect_tol * max(1.0, scale):
+            continue
         w = winding_of(traceless, Loop(z, loop_radius), min_mag=1e-12 * max(1.0, scale))
-        _, _, dv, _ = shape.evaluate(np.array([z]))
         umbilics.append(
             UmbilicReport(
                 location=z,
                 winding=w,
                 index=Fraction(UMBILIC_WINDING_SIGN * w, 2),
-                defect=float(dv[0]),
+                defect=float(dv),
                 loop_radius=loop_radius,
             )
         )
@@ -346,33 +317,8 @@ def principal_analysis(
         umbilics=tuple(umbilics),
         totally_umbilic=False,
         max_defect=max_defect,
-        min_det_I=float(np.min(det_I[mask])),
+        min_det_I=min_det_I,
     )
-
-
-def _refine_umbilic(shape, z0, h=1e-6, max_iter=40, target=1e-11):
-    z = complex(z0)
-    for _ in range(max_iter):
-        pts = np.array([z, z + h, z - h, z + 1j * h, z - 1j * h])
-        p, q, _, _ = shape.evaluate(pts)
-        f = np.array([p[0], q[0]])
-        if np.hypot(*f) < target:
-            return z
-        J = np.array(
-            [
-                [(p[1] - p[2]) / (2 * h), (p[3] - p[4]) / (2 * h)],
-                [(q[1] - q[2]) / (2 * h), (q[3] - q[4]) / (2 * h)],
-            ]
-        )
-        try:
-            step = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            return None
-        z = complex(z.real - step[0], z.imag - step[1])
-        if not np.isfinite(z.real) or not np.isfinite(z.imag):
-            return None
-    p, q, _, _ = shape.evaluate(np.array([z]))
-    return z if np.hypot(p[0], q[0]) < target * 100 else None
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +399,17 @@ def export_obj(mesh):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def csv_text(header, table):
+    """CSV text of a 2-D float table; every field is the shortest decimal that
+    parses back to its float bit for bit."""
+    lines = [header] + [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def export_csv(mesh):
     """CSV bytes with header ``u,v,x1,x2,x3`` in row-major vertex order."""
     rows, cols = mesh.shape
-    out = ["u,v,x1,x2,x3"]
-    for i in range(rows):
-        for j in range(cols):
-            x, y, z = mesh.points[i, j]
-            out.append(f"{mesh.u_values[i]!r},{mesh.v_values[j]!r},{x!r},{y!r},{z!r}")
-    return ("\n".join(out) + "\n").encode("ascii")
+    table = np.column_stack(
+        [np.repeat(mesh.u_values, cols), np.tile(mesh.v_values, rows), mesh.points.reshape(-1, 3)]
+    )
+    return csv_text("u,v,x1,x2,x3", table).encode("ascii")

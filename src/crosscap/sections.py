@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPolynomialSupport, NotLagrangian, VanishingOnLoop
-from .wirtinger import MonomialField, RationalField, winding_number
-
-ONE_PLUS_S = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
+from .wirtinger import ONE_PLUS_S, MonomialField, RationalField, winding_number
 
 
 @dataclass(frozen=True)
@@ -165,19 +163,16 @@ def radial_support_value(F, xi, tol=1e-10, max_levels=24):
 
 
 def totally_real_defect(r, xi):
-    """(r11 - r22)^2 + (r12 + r21)^2 from the exact second Wirtinger derivative.
-
-    With d = d^2 r / dxi^2 the flat-chart combination is
-    r11 - r22 = 4 Re d and r12 + r21 = -4 Im d, so the defect is 16 |d|^2.
-    """
-    d2 = r.r.d_xi().d_xi().eval(xi)
-    if isinstance(d2, complex):
-        return 16.0 * (d2.real ** 2 + d2.imag ** 2)
-    return 16.0 * np.abs(d2) ** 2
+    """(r11 - r22)^2 + (r12 + r21)^2, the squared modulus of ``hessian_combination``."""
+    return np.abs(hessian_combination(r, xi)) ** 2
 
 
 def hessian_combination(r, xi):
-    """The complex jet combination (r11 - r22) + i (r12 + r21) at ``xi``."""
+    """The complex jet combination (r11 - r22) + i (r12 + r21) at ``xi``.
+
+    With d = d^2 r / dxi^2 the flat-chart combination is
+    r11 - r22 = 4 Re d and r12 + r21 = -4 Im d, so it equals 4 conj(d).
+    """
     d2 = r.r.d_xi().d_xi().eval(xi)
     return 4.0 * np.conj(d2)
 

@@ -297,6 +297,10 @@ class MonomialField:
         )
 
 
+# 1 + xi xibar, shared by every caller (fields are immutable).
+ONE_PLUS_S = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
+
+
 class RationalField:
     """A quotient ``num / (1 + xi*xibar)**den_power``, defined on the whole chart."""
 
@@ -335,10 +339,9 @@ class RationalField:
     def __add__(self, other):
         if not isinstance(other, RationalField):
             other = RationalField(MonomialField.constant(other), 0)
-        one_plus_s = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
         p = max(self.den_power, other.den_power)
-        a = self.num * one_plus_s ** (p - self.den_power)
-        b = other.num * one_plus_s ** (p - other.den_power)
+        a = self.num * ONE_PLUS_S ** (p - self.den_power)
+        b = other.num * ONE_PLUS_S ** (p - other.den_power)
         return RationalField(a + b, p)
 
     def __sub__(self, other):
@@ -348,15 +351,13 @@ class RationalField:
 
     def d_xi(self):
         # d/dxi [num / (1+s)^p] = [d_xi(num)(1+s) - p xibar num] / (1+s)^(p+1)
-        one_plus_s = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
         p = self.den_power
-        num = self.num.d_xi() * one_plus_s - p * MonomialField.xibar() * self.num
+        num = self.num.d_xi() * ONE_PLUS_S - p * MonomialField.xibar() * self.num
         return RationalField(num, p + 1)
 
     def d_xibar(self):
-        one_plus_s = MonomialField({(0, 0): 1.0, (1, 1): 1.0})
         p = self.den_power
-        num = self.num.d_xibar() * one_plus_s - p * MonomialField.xi() * self.num
+        num = self.num.d_xibar() * ONE_PLUS_S - p * MonomialField.xi() * self.num
         return RationalField(num, p + 1)
 
     def reduced(self):
@@ -409,6 +410,25 @@ class Loop:
         return f"Loop(center={self.center}, radius={self.radius}, sample_count={self.sample_count})"
 
 
+def _winding(vals, min_mag, where, max_increment):
+    """Winding of closed samples about the origin, or None when an argument
+    increment reaches ``max_increment``.
+
+    Raises ``VanishingOnLoop`` when a sample is smaller than ``min_mag`` and
+    ``UnresolvedWinding`` when the increments do not sum to a multiple of 2 pi.
+    """
+    if np.min(np.abs(vals)) < min_mag:
+        raise VanishingOnLoop(f"|value| dropped below min_mag={min_mag:g} on {where}")
+    incs = np.angle(np.roll(vals, -1) / vals)
+    if np.max(np.abs(incs)) >= max_increment:
+        return None
+    total = incs.sum() / (2.0 * np.pi)
+    w = round(total)
+    if abs(total - w) > 1e-6:
+        raise UnresolvedWinding(f"argument sum {total!r} is not an integer multiple of 2*pi")
+    return int(w)
+
+
 def winding_number(values, min_mag=DEFAULT_MIN_MAG):
     """Winding of a closed sample sequence about the origin.
 
@@ -420,18 +440,10 @@ def winding_number(values, min_mag=DEFAULT_MIN_MAG):
     vals = np.asarray(values, dtype=complex)
     if vals.size < 2:
         raise ValueError("need at least two samples")
-    if np.min(np.abs(vals)) < min_mag:
-        raise VanishingOnLoop(
-            f"|value| dropped below min_mag={min_mag:g} on the loop"
-        )
-    incs = np.angle(np.roll(vals, -1) / vals)
-    if np.max(np.abs(incs)) >= np.pi - 1e-12:
+    w = _winding(vals, min_mag, "the loop", np.pi - 1e-12)
+    if w is None:
         raise UnresolvedWinding("argument increment reached pi; sampling too coarse")
-    total = incs.sum() / (2.0 * np.pi)
-    w = round(total)
-    if abs(total - w) > 1e-6:
-        raise UnresolvedWinding(f"argument sum {total!r} is not an integer multiple of 2*pi")
-    return int(w)
+    return w
 
 
 def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG, max_samples=MAX_SAMPLE_COUNT):
@@ -444,19 +456,9 @@ def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG, max_samples=MAX_SAMPLE_COUNT
     n = loop.sample_count
     while True:
         vals = np.asarray(func(loop.samples(n)), dtype=complex)
-        if np.min(np.abs(vals)) < min_mag:
-            raise VanishingOnLoop(
-                f"|value| dropped below min_mag={min_mag:g} on loop of radius {loop.radius:g}"
-            )
-        incs = np.angle(np.roll(vals, -1) / vals)
-        if np.max(np.abs(incs)) < np.pi / 2:
-            total = incs.sum() / (2.0 * np.pi)
-            w = round(total)
-            if abs(total - w) > 1e-6:
-                raise UnresolvedWinding(
-                    f"argument sum {total!r} is not an integer multiple of 2*pi"
-                )
-            return int(w)
+        w = _winding(vals, min_mag, f"loop of radius {loop.radius:g}", np.pi / 2)
+        if w is not None:
+            return w
         if 2 * n > max_samples:
             raise UnresolvedWinding(
                 f"increments still reach pi/2 at the sample cap {max_samples}"

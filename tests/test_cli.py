@@ -3,13 +3,24 @@ import json
 import numpy as np
 import pytest
 
+from crosscap.blowup import C1CrossCapParams, build_c1_crosscap
 from crosscap.cli import main
+from crosscap.euclid import reconstruct_surface
+from crosscap.sections import SupportFunction, section_from_support
+from crosscap.wirtinger import MonomialField
 
 
 CUBIC_RECORDS = [
     {"m": 3, "n": 0, "re": 2.0 / 3.0, "im": 0.0},
     {"m": 0, "n": 3, "re": 2.0 / 3.0, "im": 0.0},
 ]
+
+
+def read_csv(path, header):
+    """The CSV's fields as floats, requiring the header and plain numbers."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    return np.array([[float(field) for field in line.split(",")] for line in lines[1:]])
 
 
 @pytest.fixture
@@ -32,6 +43,16 @@ class TestSection:
         assert point["index"] == -1
         assert point["umbilic_index"] == "-1/2"
         assert payload["lagrangian_defect_max"] < 1e-12
+
+    def test_double_zero_counted_once(self, tmp_path):
+        # r = xi xibar: dbar F has a double zero of index 2 at the origin
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps([{"m": 1, "n": 1, "re": 1.0, "im": 0.0}]))
+        out = tmp_path / "report.json"
+        assert main(["section", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["index_sum"] == 2
+        assert [p["index"] for p in payload["complex_points"]] == [2]
 
     def test_round_trip_field_encoding(self, cubic_file, tmp_path):
         out = tmp_path / "report.json"
@@ -90,8 +111,17 @@ class TestBlowup:
         assert payload["seams"][0]["certified_order"] >= 1
         assert payload["certification"]["passed"]
         assert payload["g_critical"]["definiteness"] == "negative-definite"
-        header = samples.read_text().splitlines()[0]
-        assert header == "nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im"
+        got = read_csv(samples, "nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im")
+        surf = build_c1_crosscap(C1CrossCapParams(c=5.0, r0=float(np.sqrt(0.95)), eps=0.1))
+        want = []
+        for piece in surf.pieces:
+            radii = np.linspace(piece.rho_in, piece.rho_out, 16)
+            theta = 2.0 * np.pi * np.arange(32) / 32
+            nus = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
+            values = [nus, piece.xi_expr.eval(nus), piece.eta_expr.eval(nus),
+                      piece.defect_field().eval(nus)]
+            want.append(np.column_stack([part for v in values for part in (v.real, v.imag)]))
+        assert np.array_equal(got, np.vstack(want))
 
     def test_c2_report(self, tmp_path):
         params = {"kind": "c2", "r0_sq": 0.9}
@@ -145,9 +175,13 @@ class TestReconstruct:
             ]
         )
         assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "u,v,x1,x2,x3"
-        assert len(lines) == 1 + 24
+        got = read_csv(out, "u,v,x1,x2,x3")
+        support = SupportFunction(MonomialField.from_records(CUBIC_RECORDS))
+        mesh = reconstruct_surface(section_from_support(support), support, 3.0, grid=(4, 6))
+        assert got.shape == (24, 5)
+        assert np.array_equal(got[:, 0], np.repeat(mesh.u_values, 6))
+        assert np.array_equal(got[:, 1], np.tile(mesh.v_values, 4))
+        assert np.array_equal(got[:, 2:], mesh.points.reshape(-1, 3))
 
 
 class TestRuled:

@@ -164,6 +164,28 @@ class TestFindComplexPoints:
         boundary = boundary_index_oracle(F.F.num.d_xibar(), 0j, 0.8)
         assert boundary == sum(rep.index for rep in reports) == -2
 
+    def test_double_zero_is_one_point(self):
+        # dbar F = xi^2 (1 + xi xibar): Newton creeps into the double zero from
+        # several seeds, which must merge into one point of index 2
+        reports = find_complex_points(elliptic_example_section(), 0j, 0.8)
+        assert len(reports) == 1
+        assert reports[0].index == 2 and abs(reports[0].location) < 1e-6
+
+    def test_newton_iterates_stay_in_the_chart(self):
+        # on this support a Newton iterate used to run past the chart bound
+        terms = {
+            (1, 0): -0.067 - 0.142j,
+            (1, 1): -0.211,
+            (2, 0): 0.15100000000000002 + 0.12j,
+            (2, 1): -0.18500000000000003 - 0.15300000000000002j,
+            (3, 0): -0.101 - 0.08100000000000002j,
+        }
+        terms.update({(n, m): c.conjugate() for (m, n), c in list(terms.items()) if m != n})
+        sec = section_from_support(SupportFunction(MonomialField(terms)))
+        reports = find_complex_points(sec, 0j, 0.8, grid_n=64)
+        oracle = boundary_index_oracle(sec.F.num.d_xibar(), 0j, 0.8)
+        assert sum(rep.index for rep in reports) == oracle == 0
+
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             find_complex_points(hyperbolic_example_section(), 0j, 0.5, grid_n=8)

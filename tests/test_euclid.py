@@ -171,6 +171,20 @@ class TestPrincipalAnalysis:
         assert u.index == Fraction(1, 1)
         assert u.winding == 2
 
+    def test_umbilic_next_to_the_rim(self):
+        # the cubic example moved to xi0 = 0.49, half a grid step inside the rim
+        xi0 = 0.49
+        a = MonomialField.xi() - xi0
+        b = MonomialField.xibar() - xi0
+        r = SupportFunction((2.0 / 3.0) * (a * a * a + b * b * b))
+        sec = section_from_support(r)
+        rep = principal_analysis(sec, r, 3.0, disc_radius=0.5, grid_n=41)
+        assert len(rep.umbilics) == 1
+        assert abs(rep.umbilics[0].location - xi0) < 1e-6
+        assert rep.umbilics[0].index == Fraction(-1, 2)
+        cps = find_complex_points(sec, 0j, 0.5, grid_n=64)
+        assert [cp.index for cp in cps] == [-1]
+
     def test_round_sphere_totally_umbilic(self):
         sec = section_from_support(ZERO_SUPPORT)
         rep = principal_analysis(sec, ZERO_SUPPORT, 1.0, disc_radius=0.5, grid_n=21)
