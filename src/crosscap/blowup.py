@@ -63,10 +63,6 @@ class C1CrossCapParams:
         if (1.0 - self.eps) ** 2 <= 1.0 / 3.0:
             raise BadParams("inner radius must satisfy (1 - eps)^2 > 1/3")
 
-    @property
-    def reality_guaranteed(self):
-        return 1.0 < self.c < 9.0
-
 
 @dataclass(frozen=True)
 class C2CrossCapParams:

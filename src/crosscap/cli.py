@@ -29,6 +29,7 @@ from . import euclid as eu
 from . import ledger as lg
 from . import linespace as ls
 from . import sections as se
+from .errors import CrosscapError
 from .verify import report_to_json, run_verification
 from .wirtinger import MonomialField, RationalField
 
@@ -65,10 +66,6 @@ def _field_from_payload(payload):
             raise ValueError("field is flagged real but is not conjugate-symmetric")
         return field
     return MonomialField.from_records(payload)
-
-
-def _field_payload(field):
-    return field.to_records()
 
 
 def _support_from_file(path):
@@ -137,8 +134,8 @@ def cmd_section(args):
     defects = se.lagrangian_defect(sec, zz)
     tr = se.totally_real_defect(support, zz)
     payload = {
-        "support": _field_payload(support.r),
-        "F": {"num": _field_payload(sec.F.num), "den_power": sec.F.den_power},
+        "support": support.r.to_records(),
+        "F": {"num": sec.F.num.to_records(), "den_power": sec.F.den_power},
         "complex_points": [_complex_point_payload(r) for r in reports],
         "index_sum": sum(r.index for r in reports),
         "lagrangian_defect_max": float(np.max(defects)),
@@ -378,7 +375,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (CrosscapError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,14 +68,6 @@ class ParamSurface:
             raise ValueError("piece radii must be globally increasing")
         self.pieces = pieces
 
-    @property
-    def rho_min(self):
-        return self.pieces[0].rho_in
-
-    @property
-    def rho_max(self):
-        return self.pieces[-1].rho_out
-
     def seam_radii(self):
         """Interior radii shared by consecutive pieces."""
         return [p.rho_out for p in self.pieces[:-1]]
@@ -155,6 +147,12 @@ def _sign_change_cells(values):
     cmax = np.maximum.reduce([sgn[:-1, :-1], sgn[:-1, 1:], sgn[1:, :-1], sgn[1:, 1:]])
     cmin = np.minimum.reduce([sgn[:-1, :-1], sgn[:-1, 1:], sgn[1:, :-1], sgn[1:, 1:]])
     return (cmax >= 0) & (cmin <= 0)
+
+
+def _require_radius(radius):
+    """Reject a disc radius that is not a positive finite number."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"disc radius must be positive and finite, got {radius!r}")
 
 
 def _disc_grid(center, radius, grid_n):
@@ -240,6 +238,7 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     not isolated (a vanishing field, or winding loops that cannot avoid
     zeros).
     """
+    _require_radius(radius)
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     W = d_xibar(F.F)

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cpoints import _disc_grid, _isolated_zeros
+from .cpoints import _disc_grid, _isolated_zeros, _require_radius
 from .errors import EmptyMesh, NotImmersed
-from .linespace import line_to_vectors, vectors_to_line
+from .linespace import direction_vector, line_to_vectors, vectors_to_line
 from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, winding_of
 
 # Calibrated once on the cubic support example (umbilic of index -1/2):
@@ -90,6 +90,7 @@ def reconstruct_surface(F, r, C, disc_radius=0.9, grid=(24, 48), attach_defect=F
     umbilic defect (norm of the traceless shape operator) rides along as the
     per-vertex scalar channel ``"umbilic_defect"``.
     """
+    _require_radius(disc_radius)
     n_rad, n_ang = grid
     radii = np.linspace(disc_radius / n_rad, disc_radius, n_rad)
     angles = np.linspace(0.0, 2.0 * np.pi, n_ang)
@@ -119,7 +120,7 @@ def support_property_check(mesh, F, r, C, h=1e-3):
     the tangents with U.
     """
     zz = mesh.xis
-    U = _direction_array(zz)
+    U = direction_vector(zz)
     rv = np.real(r.r.eval(zz)) + C
     support_res = np.abs(np.sum(mesh.points * U, axis=-1) - rv)
 
@@ -139,13 +140,6 @@ def support_property_check(mesh, F, r, C, h=1e-3):
         max_support_residual=float(np.max(support_res)),
         max_orthogonality_residual=worst,
     )
-
-
-def _direction_array(zz):
-    s = (zz * np.conj(zz)).real
-    return np.stack(
-        [2.0 * zz.real, 2.0 * zz.imag, 1.0 - s], axis=-1
-    ) / (1.0 + s)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +265,7 @@ def principal_analysis(
     five-point Jacobian, and the half-integer index is the calibrated winding
     of p + i q halved.
     """
+    _require_radius(disc_radius)
     shape = _ShapeOperatorField(F, r, C)
     zz, _ = _disc_grid(0j, disc_radius, grid_n)
     mask = np.abs(zz) <= disc_radius

@@ -65,10 +65,14 @@ class TangentVec:
 
 
 def direction_vector(xi):
-    """Unit direction vector of the line with chart coordinate ``xi``."""
-    z = complex(xi)
-    s = (z * z.conjugate()).real
-    return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - s]) / (1.0 + s)
+    """Unit direction vector of the line with chart coordinate ``xi``.
+
+    Broadcasts over ndarray inputs; the result has one trailing axis of
+    length 3.
+    """
+    z = np.asarray(xi, dtype=complex)
+    s = (z * np.conj(z)).real
+    return np.stack([2.0 * z.real, 2.0 * z.imag, 1.0 - s], axis=-1) / (1.0 + s)[..., None]
 
 
 def du_dxi(xi):

@@ -19,6 +19,9 @@ summing principal-branch argument increments, refining the sampling until
 every increment is safely below pi.
 """
 
+import math
+from numbers import Integral, Real
+
 import numpy as np
 
 from .errors import ChartDomainError, UnresolvedWinding, VanishingOnLoop
@@ -292,9 +295,25 @@ class MonomialField:
 
     @classmethod
     def from_records(cls, records):
-        return cls(
-            {(rec["m"], rec["n"]): complex(rec["re"], rec.get("im", 0.0)) for rec in records}
-        )
+        """Inverse of ``to_records``; raises ``ValueError`` on anything but a
+        list of ``{m, n, re[, im]}`` records with integer exponents and finite
+        coefficients."""
+        if not isinstance(records, (list, tuple)):
+            raise ValueError("a field must be a list of {m, n, re, im} records")
+        terms = {}
+        for rec in records:
+            if not isinstance(rec, dict) or not {"m", "n", "re"} <= rec.keys():
+                raise ValueError(f"not an {{m, n, re, im}} record: {rec!r}")
+            m, n, re, im = rec["m"], rec["n"], rec["re"], rec.get("im", 0.0)
+            if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (m, n)):
+                raise ValueError(f"exponents must be integers: {rec!r}")
+            if not all(
+                isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in (re, im)
+            ):
+                raise ValueError(f"coefficients must be finite numbers: {rec!r}")
+            terms[(m, n)] = complex(re, im)
+        return cls(terms)
 
 
 # 1 + xi xibar, shared by every caller (fields are immutable).

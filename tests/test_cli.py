@@ -254,3 +254,23 @@ class TestErrors:
         rc = main(["section", "/nonexistent/path.json"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, extra",
+        [
+            ("section", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', []),
+            ("cpoints", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', []),
+            ("section", "[1, 2]", []),
+            ("section", '[{"m": 3, "n": 0, "re": NaN}, {"m": 0, "n": 3, "re": 0.5}]', []),
+            ("section", json.dumps(CUBIC_RECORDS), ["--disc", "-1"]),
+        ],
+        ids=["constant-section", "constant-cpoints", "not-records", "nan", "negative-disc"],
+    )
+    def test_invalid_input_is_one_line_exit_one(self, command, text, extra, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        assert main([command, str(path), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()

@@ -153,6 +153,15 @@ class TestReconstruction:
 
 
 class TestPrincipalAnalysis:
+    @pytest.mark.parametrize("radius", [0.0, -0.5, float("nan"), float("inf")])
+    def test_disc_radius_must_be_positive_and_finite(self, radius):
+        sec = section_from_support(CUBIC)
+        for analyse in (reconstruct_surface, principal_analysis):
+            with pytest.raises(ValueError, match="disc radius"):
+                analyse(sec, CUBIC, 3.0, disc_radius=radius)
+        with pytest.raises(ValueError, match="disc radius"):
+            find_complex_points(sec, 0j, radius)
+
     def test_cubic_example_umbilic(self):
         sec = section_from_support(CUBIC)
         rep = principal_analysis(sec, CUBIC, 3.0, disc_radius=0.5, grid_n=41)

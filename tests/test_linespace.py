@@ -41,6 +41,20 @@ class TestDirections:
             assert np.allclose(U, expected, atol=1e-12)
             assert abs(np.linalg.norm(U) - 1.0) < 1e-12
 
+    def test_array_matches_scalar_formula(self):
+        rng = np.random.default_rng(5)
+        zz = rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7))
+        U = direction_vector(zz)
+        assert U.shape == (6, 7, 3)
+        reference = np.array(
+            [
+                [[2 * z.real, 2 * z.imag, 1 - abs(z) ** 2] for z in map(complex, row)]
+                for row in zz
+            ]
+        ) / (1 + np.abs(zz) ** 2)[..., None]
+        assert np.max(np.abs(U - reference)) < 1e-15
+        assert np.max(np.abs(np.linalg.norm(U, axis=-1) - 1.0)) < 1e-15
+
     def test_du_dxi_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         h = 1e-6

@@ -177,6 +177,23 @@ class TestWireFormat:
         g = MonomialField.from_records(json.loads(payload))
         assert f == g  # exact coefficient equality, not approximate
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            {"m": 1, "n": 0, "re": 1.0},
+            [[1, 0, 1.0]],
+            [{"m": 1, "n": 0}],
+            [{"m": 1.5, "n": 0, "re": 1.0}],
+            [{"m": True, "n": 0, "re": 1.0}],
+            [{"m": 1, "n": 0, "re": "1"}],
+            [{"m": 1, "n": 0, "re": float("nan")}],
+            [{"m": 1, "n": 0, "re": 1.0, "im": float("inf")}],
+        ],
+    )
+    def test_malformed_records_rejected(self, records):
+        with pytest.raises(ValueError):
+            MonomialField.from_records(records)
+
     def test_canonical_form_drops_zeros(self):
         f = MonomialField({(1, 1): 1.0, (2, 0): 0.0})
         assert (1, 1) in f.terms() and (2, 0) not in f.terms()
