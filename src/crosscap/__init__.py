@@ -16,8 +16,6 @@ from .wirtinger import (
     Loop,
     MonomialField,
     RationalField,
-    d_xi,
-    d_xibar,
     winding_number,
     winding_of,
 )
@@ -53,7 +51,6 @@ from .cpoints import (
 )
 from .blowup import (
     C1CrossCapParams,
-    C2CrossCapParams,
     build_c1_crosscap,
     build_c2_crosscap,
     c1_matching_constants,
@@ -62,7 +59,6 @@ from .blowup import (
     derive_reality_polynomial,
     g_critical_report,
     seam_report,
-    simple_crosscap_map,
     simple_crosscap_surface,
 )
 from .euclid import (

@@ -30,7 +30,6 @@ import numpy as np
 
 from .cpoints import ParamPiece, ParamSurface
 from .errors import BadParams, FactorizationFailed
-from .linespace import OrientedLine
 from .wirtinger import MonomialField
 
 ONE = MonomialField.constant(1.0)
@@ -41,6 +40,9 @@ NUBAR = MonomialField.monomial(0, 1)
 NUBAR2 = MonomialField.monomial(0, 2)
 
 INNER_RADIUS_FLOOR = 3.0 ** -0.5       # the factor 3s - 1 vanishes at s = 1/3
+
+G_CRITICAL_TOL = 1e-10                 # g_critical_report's bound at (1, 1)
+SEAM_ANGLES = 64                       # seam_report's sample angles per seam
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,6 @@ class C1CrossCapParams:
             raise BadParams("need 1 - eps < R0 < 1 with 0 < eps < 1")
         if (1.0 - self.eps) ** 2 <= 1.0 / 3.0:
             raise BadParams("inner radius must satisfy (1 - eps)^2 > 1/3")
-
-
-@dataclass(frozen=True)
-class C2CrossCapParams:
-    """Parameters of the C2 cross-cap: a single Gauss radius 3^(-1/2) < R0 < 1."""
-
-    r0: float
-
-    def __post_init__(self):
-        if not (INNER_RADIUS_FLOOR < self.r0 < 1.0):
-            raise BadParams("need 3^(-1/2) < R0 < 1")
 
 
 def c1_matching_constants(c, r0):
@@ -181,8 +172,9 @@ class GCriticalReport:
     definite_in_range: bool
 
 
-def g_critical_report(g, c, tol=1e-10):
+def g_critical_report(g, c):
     """Evaluate g and its derivatives at (1,1) and classify the Hessian."""
+    tol = G_CRITICAL_TOL
     gx = g.d_xi()
     gy = g.d_xibar()
     val = complex(g.eval_pair(1.0, 1.0)).real
@@ -234,16 +226,13 @@ class CertificationReport:
     min_abs_w: float
     passed: bool
     min_mag: float
-    g_section_min: float | None = None
 
 
-def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6, g_section=None):
+def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
     """Sweep |W| over every piece on a (radius, angle) grid.
 
     Seams are approached one-sidedly: each piece is evaluated with its own
-    polynomial up to and including its boundary radii.  An optional
-    ``g_section = (g, x_lo, x_hi, y0)`` adds the minimum of |g(x, y0)| over
-    the given x-interval to the report.
+    polynomial up to and including its boundary radii.
     """
     if radial_n < 64 or angular_n < 64:
         raise BadParams("certification grids must be at least 64 x 64")
@@ -266,17 +255,11 @@ def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6, g_section
             )
         )
         overall = min(overall, float(vals.flat[k]))
-    g_min = None
-    if g_section is not None:
-        g, x_lo, x_hi, y0 = g_section
-        xs = np.linspace(x_lo, x_hi, max(radial_n, 512))
-        g_min = float(np.min(np.abs(g.eval_pair(xs.astype(complex), complex(y0)))))
     return CertificationReport(
         pieces=tuple(certs),
         min_abs_w=overall,
         passed=overall >= min_mag,
         min_mag=min_mag,
-        g_section_min=g_min,
     )
 
 
@@ -348,20 +331,18 @@ def c2_constants(r0):
     )
 
 
-def build_c2_crosscap(r0, inner_radius=0.6, use_quoted_constants=False):
+def build_c2_crosscap(r0, inner_radius=0.6):
     """Two-piece C2 cross-cap on [inner_radius, R0] and [R0, 1].
 
     The construction lives on the open range 3^(-1/2) < |nu| <= 1: the
     defect vanishes exactly at |nu| = 3^(-1/2), so a closed representative
     must start strictly inside (default Gauss radius 0.6, s = 0.36 > 1/3).
-    Solver constants are used by default; the quoted constants are retained
-    only so their seam defect can be demonstrated.
+    The outer constants are the solver's; ``c2_constants`` also reports the
+    quoted ones and their seam residuals.
     """
-    params = C2CrossCapParams(r0=r0)
-    if not (INNER_RADIUS_FLOOR < inner_radius < params.r0):
+    consts = c2_constants(r0)
+    if not (INNER_RADIUS_FLOOR < inner_radius < r0):
         raise BadParams("inner radius must satisfy 3^(-1/2) < inner_radius < R0")
-    consts = c2_constants(params.r0)
-    a, b, c = (consts.quoted if use_quoted_constants else (consts.a, consts.b, consts.c))
     inner = _c2_inner_profile()
     # re-express Q(t) in the surface variables: t = 1 - nu nubar
     inner_field = MonomialField.zero()
@@ -373,9 +354,9 @@ def build_c2_crosscap(r0, inner_radius=0.6, use_quoted_constants=False):
         if k in by_power:
             inner_field = inner_field + by_power[k] * tk
         tk = tk * T
-    outer = a * ONE + b * T + c * (T * T)
+    outer = consts.a * ONE + consts.b * T + consts.c * (T * T)
     return _profile_surface(
-        [(inner_radius, params.r0, inner_field), (params.r0, 1.0, outer)]
+        [(inner_radius, r0, inner_field), (r0, 1.0, outer)]
     )
 
 
@@ -409,10 +390,10 @@ def _radial_derivative_values(expr, order, points):
     return total
 
 
-def seam_report(S, order=2, n_angles=64, tol=1e-9):
+def seam_report(S, order=2, tol=1e-9):
     """Jumps of the chart components and their radial derivatives at each seam."""
     reports = []
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    theta = 2.0 * np.pi * np.arange(SEAM_ANGLES) / SEAM_ANGLES
     for left, right in zip(S.pieces, S.pieces[1:]):
         seam = left.rho_out
         pts = seam * np.exp(1j * theta)
@@ -445,15 +426,9 @@ def seam_report(S, order=2, n_angles=64, tol=1e-9):
     return reports
 
 
-def simple_crosscap_map(nu):
-    """The bare cross-cap embedding xi = (1 - nu nubar) nu, eta = nubar^2."""
-    z = complex(nu)
-    s = (z * z.conjugate()).real
-    return OrientedLine(xi=(1.0 - s) * z, eta=z.conjugate() ** 2)
-
-
 def simple_crosscap_surface(rho_in=INNER_RADIUS_FLOOR):
-    """One-piece surface carrying the bare cross-cap map on [rho_in, 1]."""
+    """One-piece surface carrying the bare cross-cap embedding
+    xi = (1 - nu nubar) nu, eta = nubar^2 on [rho_in, 1]."""
     return ParamSurface(
         [ParamPiece(rho_in=rho_in, rho_out=1.0, xi_expr=T * NU, eta_expr=NUBAR2)]
     )

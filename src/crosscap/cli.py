@@ -106,6 +106,8 @@ def _complex_point_payload(rep):
 
 
 def _crosscap_from_params(params):
+    """The cross-cap surface, with the C1 parameters or the C2 seam constants
+    (None for the simple cap)."""
     kind = params.get("kind", "c1")
     r0 = params.get("r0")
     if r0 is None and "r0_sq" in params:
@@ -117,9 +119,10 @@ def _crosscap_from_params(params):
         )
         return bl.build_c1_crosscap(p), p
     if kind == "c2":
-        p = bl.C2CrossCapParams(r0=float(r0))
+        r0 = float(r0)
+        consts = bl.c2_constants(r0)
         inner = float(params.get("inner_radius", 0.6))
-        return bl.build_c2_crosscap(p.r0, inner_radius=inner), p
+        return bl.build_c2_crosscap(r0, inner_radius=inner), consts
     if kind == "simple":
         return bl.simple_crosscap_surface(float(params.get("inner_radius", 3 ** -0.5))), None
     raise ValueError(f"unknown cross-cap kind {kind!r}")
@@ -204,13 +207,12 @@ def cmd_blowup(args):
                 "definiteness": crit.definiteness,
             }
     elif kind == "c2":
-        consts = bl.c2_constants(p.r0)
         payload["constants"] = {
-            "a": consts.a,
-            "b": consts.b,
-            "c": consts.c,
-            "quoted": list(consts.quoted),
-            "quoted_value_residual": consts.quoted_value_residual,
+            "a": p.a,
+            "b": p.b,
+            "c": p.c,
+            "quoted": list(p.quoted),
+            "quoted_value_residual": p.quoted_value_residual,
         }
     if args.samples_out:
         blocks = []
@@ -375,7 +377,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CrosscapError, ValueError, OSError, KeyError) as exc:
+    except (CrosscapError, ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,12 +24,13 @@ from .errors import (
     UnresolvedWinding,
     VanishingOnLoop,
 )
-from .wirtinger import Loop, MonomialField, d_xi, d_xibar, winding_of
+from .wirtinger import Loop, MonomialField, require_radius, winding_of
 
 SEAM_EPS = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 MAX_SHRINKS = 8
+QUADRATIC_BOUNDARY_REL_TOL = 1e-12  # quadratic_model_index's degenerate band, relative
 
 
 @dataclass(frozen=True)
@@ -116,24 +117,24 @@ class ComplexPointReport:
         return Fraction(self.index, 2)
 
 
-def section_complex_index(F, xi0, loop_radius, min_mag=1e-9):
+def section_complex_index(F, xi0, loop_radius):
     """Integer winding of dbar F around a loop centered at ``xi0``.
 
     The loop shrinks by halves (up to 8 times) when dbar F vanishes on it;
     the umbilic index of the orthogonal surfaces is half the returned value.
     """
-    index, _ = _index_with_radius(F, xi0, loop_radius, min_mag)
+    index, _ = _index_with_radius(F, xi0, loop_radius)
     return index
 
 
-def _index_with_radius(F, xi0, loop_radius, min_mag=1e-9):
-    W = d_xibar(F.F)
+def _index_with_radius(F, xi0, loop_radius):
+    W = F.F.d_xibar()
     radius = float(loop_radius)
     last = None
     for _ in range(MAX_SHRINKS + 1):
         loop = Loop(xi0, radius)
         try:
-            return winding_of(lambda pts: W.eval(pts), loop, min_mag=min_mag), radius
+            return winding_of(lambda pts: W.eval(pts), loop), radius
         except VanishingOnLoop as exc:
             last = exc
             radius *= 0.5
@@ -147,12 +148,6 @@ def _sign_change_cells(values):
     cmax = np.maximum.reduce([sgn[:-1, :-1], sgn[:-1, 1:], sgn[1:, :-1], sgn[1:, 1:]])
     cmin = np.minimum.reduce([sgn[:-1, :-1], sgn[:-1, 1:], sgn[1:, :-1], sgn[1:, 1:]])
     return (cmax >= 0) & (cmin <= 0)
-
-
-def _require_radius(radius):
-    """Reject a disc radius that is not a positive finite number."""
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"disc radius must be positive and finite, got {radius!r}")
 
 
 def _disc_grid(center, radius, grid_n):
@@ -238,13 +233,13 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     not isolated (a vanishing field, or winding loops that cannot avoid
     zeros).
     """
-    _require_radius(radius)
+    require_radius(radius, "disc radius")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    W = d_xibar(F.F)
+    W = F.F.d_xibar()
     if not W.num:
         raise DegenerateZeroCurve("dbar F vanishes identically on the disc")
-    Wxi, Wxibar = d_xi(W), d_xibar(W)
+    Wxi, Wxibar = W.d_xi(), W.d_xibar()
 
     def jacobian(pts):
         dz, dzb = Wxi.eval(pts), Wxibar.eval(pts)
@@ -269,7 +264,7 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     return reports
 
 
-def quadratic_model_index(alpha, beta, rel_tol=1e-12):
+def quadratic_model_index(alpha, beta):
     """Index of the quadratic model eta = alpha xibar^2 + beta xi xibar at 0.
 
     dbar of the model on the unit loop is 2 alpha xibar + beta xi, whose
@@ -279,7 +274,7 @@ def quadratic_model_index(alpha, beta, rel_tol=1e-12):
     """
     a, b = complex(alpha), complex(beta)
     scale = 2.0 * abs(a) + abs(b)
-    if scale == 0 or abs(2.0 * abs(a) - abs(b)) <= rel_tol * scale:
+    if scale == 0 or abs(2.0 * abs(a) - abs(b)) <= QUADRATIC_BOUNDARY_REL_TOL * scale:
         raise DegenerateQuadratic("2|alpha| = |beta|: the model winding is undefined")
     loop = Loop(0j, 1.0)
     return winding_of(lambda pts: 2.0 * a * np.conj(pts) + b * pts, loop)

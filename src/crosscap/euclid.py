@@ -23,14 +23,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cpoints import _disc_grid, _isolated_zeros, _require_radius
+from .cpoints import _disc_grid, _isolated_zeros
 from .errors import EmptyMesh, NotImmersed
 from .linespace import direction_vector, line_to_vectors, vectors_to_line
-from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, winding_of
+from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, require_radius, winding_of
 
 # Calibrated once on the cubic support example (umbilic of index -1/2):
 # the winding of the traceless component equals twice the foliation index.
 UMBILIC_WINDING_SIGN = 1
+
+ORTHOGONALITY_STEP = 1e-3      # chart step of support_property_check's differences
+JACOBIAN_STEP = 1e-6           # chart step of principal_analysis's Jacobian
+# principal_analysis, relative to the shape-operator scale: a defect at or below
+# FLAT_DEFECT_TOL everywhere means totally umbilic, and a zero whose defect
+# exceeds UMBILIC_DEFECT_TOL is no umbilic.
+FLAT_DEFECT_TOL = 1e-10
+UMBILIC_DEFECT_TOL = 1e-8
 
 
 def point_from_line(xi, eta, r_value):
@@ -90,7 +98,9 @@ def reconstruct_surface(F, r, C, disc_radius=0.9, grid=(24, 48), attach_defect=F
     umbilic defect (norm of the traceless shape operator) rides along as the
     per-vertex scalar channel ``"umbilic_defect"``.
     """
-    _require_radius(disc_radius)
+    require_radius(disc_radius, "disc radius")
+    if not np.isfinite(C):
+        raise ValueError(f"the constant C must be finite, got {C!r}")
     n_rad, n_ang = grid
     radii = np.linspace(disc_radius / n_rad, disc_radius, n_rad)
     angles = np.linspace(0.0, 2.0 * np.pi, n_ang)
@@ -111,7 +121,7 @@ class SupportCheck:
     max_orthogonality_residual: float
 
 
-def support_property_check(mesh, F, r, C, h=1e-3):
+def support_property_check(mesh, F, r, C):
     """Verify x . U = r + C on the mesh and tangency of the lines.
 
     The support residual is evaluated exactly at the vertices; the
@@ -127,6 +137,7 @@ def support_property_check(mesh, F, r, C, h=1e-3):
     def surface(z):
         return point_from_line(z, F.F.eval(z), np.real(r.r.eval(z)) + C)
 
+    h = ORTHOGONALITY_STEP
     worst = 0.0
     for direction in (1.0, 1j):
         d = (
@@ -248,15 +259,7 @@ class _ShapeOperatorField:
         return p, q, np.hypot(p, q), det_I
 
 
-def principal_analysis(
-    F,
-    r,
-    C,
-    disc_radius=0.6,
-    grid_n=41,
-    defect_tol=1e-8,
-    flat_tol=1e-10,
-):
+def principal_analysis(F, r, C, disc_radius=0.6, grid_n=41):
     """Locate isolated umbilics of the reconstructed surface and their indices.
 
     Works on the traceless part of the shape operator expressed in an
@@ -265,7 +268,7 @@ def principal_analysis(
     five-point Jacobian, and the half-integer index is the calibrated winding
     of p + i q halved.
     """
-    _require_radius(disc_radius)
+    require_radius(disc_radius, "disc radius")
     shape = _ShapeOperatorField(F, r, C)
     zz, _ = _disc_grid(0j, disc_radius, grid_n)
     mask = np.abs(zz) <= disc_radius
@@ -274,7 +277,7 @@ def principal_analysis(
     max_defect = float(np.max(defect[mask]))
     min_det_I = float(np.min(det_I[mask]))
 
-    if max_defect <= flat_tol * max(1.0, scale):
+    if max_defect <= FLAT_DEFECT_TOL * max(1.0, scale):
         return PrincipalReport(
             umbilics=(), totally_umbilic=True, max_defect=max_defect, min_det_I=min_det_I
         )
@@ -283,7 +286,8 @@ def principal_analysis(
         pv, qv, _, _ = shape.evaluate(pts)
         return pv + 1j * qv
 
-    def jacobian(pts, h=1e-6):
+    def jacobian(pts):
+        h = JACOBIAN_STEP
         xp, xm, yp, ym = np.split(
             traceless(np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])), 4
         )
@@ -296,7 +300,7 @@ def principal_analysis(
     _, _, defects, _ = shape.evaluate(np.array([z for z, _ in zeros], dtype=complex))
     umbilics = []
     for (z, loop_radius), dv in zip(zeros, defects):
-        if dv > defect_tol * max(1.0, scale):
+        if dv > UMBILIC_DEFECT_TOL * max(1.0, scale):
             continue
         w = winding_of(traceless, Loop(z, loop_radius), min_mag=1e-12 * max(1.0, scale))
         umbilics.append(

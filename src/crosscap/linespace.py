@@ -27,6 +27,9 @@ import numpy as np
 
 from .errors import BasePointMismatch
 
+COMPATIBILITY_SAMPLES = 100        # random (line, v, w) triples of discover_epsilon
+COMPATIBILITY_SPREAD_TOL = 1e-10   # largest spread allowed among their ratios
+
 
 @dataclass(frozen=True)
 class OrientedLine:
@@ -174,16 +177,16 @@ def metric_signature(line):
     return int(np.sum(eigs > 0)), int(np.sum(eigs < 0))
 
 
-def discover_epsilon(n_triples=100, seed=0, tol=1e-10):
+def discover_epsilon(seed=0):
     """Estimate the constant ratio Omega(v, w) / G(Jv, w) by random sampling.
 
     The two tensors are proportional through J; the proportionality constant
     is discovered, not asserted.  Raises if the sampled ratio is not constant
-    to ``tol``.
+    to ``COMPATIBILITY_SPREAD_TOL``.
     """
     rng = np.random.default_rng(seed)
     ratios = []
-    while len(ratios) < n_triples:
+    while len(ratios) < COMPATIBILITY_SAMPLES:
         line = OrientedLine(
             complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
         )
@@ -195,6 +198,6 @@ def discover_epsilon(n_triples=100, seed=0, tol=1e-10):
         ratios.append(omega(v, w) / g)
     ratios = np.asarray(ratios)
     spread = float(ratios.max() - ratios.min())
-    if spread > tol:
+    if spread > COMPATIBILITY_SPREAD_TOL:
         raise AssertionError(f"compatibility ratio is not constant: spread {spread:g}")
     return float(ratios.mean())

@@ -22,6 +22,15 @@ import numpy as np
 from .errors import NonPolynomialSupport, NotLagrangian, VanishingOnLoop
 from .wirtinger import ONE_PLUS_S, MonomialField, RationalField, winding_number
 
+# support_from_section's Lagrangian test: the defect on an N x N grid over
+# [-1, 1]^2 must stay at or below LAGRANGIAN_DEFECT_TOL.
+LAGRANGIAN_GRID_N = 25
+LAGRANGIAN_DEFECT_TOL = 1e-8
+GRADIENT_SYMMETRY_REL_TOL = 1e-10  # conjugate-symmetry residual of an integrated gradient
+ROMBERG_TOL = 1e-10                # radial_support_value: relative stopping tolerance
+ROMBERG_MAX_LEVELS = 24
+TOTALLY_REAL_DEFECT_FLOOR = 1e-9   # least defect on a boundary_winding loop
+
 
 @dataclass(frozen=True)
 class SupportFunction:
@@ -48,12 +57,10 @@ class SupportFunction:
 class SectionGraph:
     """The fibre component eta = F(xi, xibar) of a graph section.
 
-    ``provenance`` records whether F was produced from a support function or
-    supplied raw; the Lagrangian property is always checked, never assumed.
+    The Lagrangian property is always checked, never assumed.
     """
 
     F: RationalField
-    provenance: str = "raw"
 
 
 def section_from_support(r):
@@ -63,7 +70,7 @@ def section_from_support(r):
     additive constant in r.
     """
     F = 0.5 * (ONE_PLUS_S * ONE_PLUS_S * r.r.d_xi().conj())
-    return SectionGraph(F=RationalField(F, 0), provenance="from-support")
+    return SectionGraph(F=RationalField(F, 0))
 
 
 def lagrangian_defect(F, xi):
@@ -75,10 +82,10 @@ def lagrangian_defect(F, xi):
     return np.abs(np.imag(vals))
 
 
-def _integrate_polynomial_gradient(G, tol=1e-10):
+def _integrate_polynomial_gradient(G):
     """Real polynomial r with d_xi(r) = G and r(0) = 0, or NotLagrangian."""
     terms = G.terms()
-    scale = G.max_abs_coeff() or 1.0
+    tol = GRADIENT_SYMMETRY_REL_TOL * (G.max_abs_coeff() or 1.0)
     coeffs = {}
     for (m, n), a in terms.items():
         coeffs[(m + 1, n)] = a / (m + 1)
@@ -93,18 +100,18 @@ def _integrate_polynomial_gradient(G, tol=1e-10):
                 raise NotLagrangian(
                     f"gradient term xi^{m-1} xibar^{n} has no conjugate partner"
                 )
-        elif abs(mirror - c.conjugate()) > tol * scale:
+        elif abs(mirror - c.conjugate()) > tol:
             raise NotLagrangian(
                 f"gradient fails conjugate symmetry at exponents ({m},{n})"
             )
     out.pop((0, 0), None)
     r = MonomialField(out)
-    if not r.d_xi().allclose(G, tol=tol * scale):
+    if not r.d_xi().allclose(G, tol=tol):
         raise NotLagrangian("termwise antiderivative does not reproduce the gradient")
     return r
 
 
-def support_from_section(F, defect_grid_n=25, defect_radius=1.0, defect_tol=1e-8):
+def support_from_section(F):
     """Recover the support function of a Lagrangian section, normalized r(0) = 0.
 
     The integrability precondition is tested as a Lagrangian-defect sweep on a
@@ -112,9 +119,9 @@ def support_from_section(F, defect_grid_n=25, defect_radius=1.0, defect_tol=1e-8
     path-dependent).  Sections whose support is integrable but not polynomial
     raise ``NonPolynomialSupport``.
     """
-    ax = np.linspace(-defect_radius, defect_radius, defect_grid_n)
+    ax = np.linspace(-1.0, 1.0, LAGRANGIAN_GRID_N)
     zz = ax[None, :] + 1j * ax[:, None]
-    if np.max(lagrangian_defect(F, zz)) > defect_tol:
+    if np.max(lagrangian_defect(F, zz)) > LAGRANGIAN_DEFECT_TOL:
         raise NotLagrangian("Lagrangian defect exceeds tolerance on the validation grid")
     # dr/dxi = 2 conj(F) / (1+s)^2 must reduce to a polynomial
     grad = RationalField(2.0 * F.F.num.conj(), F.F.den_power + 2).reduced()
@@ -126,7 +133,7 @@ def support_from_section(F, defect_grid_n=25, defect_radius=1.0, defect_tol=1e-8
     return SupportFunction(r=r)
 
 
-def radial_support_value(F, xi, tol=1e-10, max_levels=24):
+def radial_support_value(F, xi):
     """Support value at ``xi`` by Richardson-extrapolated radial quadrature.
 
     Integrates d/dt r(t xi) = 4 Re[xi conj(F(t xi))] / (1 + t^2 |xi|^2)^2 over
@@ -149,7 +156,7 @@ def radial_support_value(F, xi, tol=1e-10, max_levels=24):
     fa, fb = integrand(np.array([a]))[0], integrand(np.array([b]))[0]
     T = 0.5 * (b - a) * (fa + fb)
     rows.append([T])
-    for level in range(1, max_levels):
+    for level in range(1, ROMBERG_MAX_LEVELS):
         n *= 2
         mid = a + (b - a) * (np.arange(1, n, 2) / n)
         T = 0.5 * rows[-1][0] + (b - a) / n * integrand(mid).sum()
@@ -157,8 +164,9 @@ def radial_support_value(F, xi, tol=1e-10, max_levels=24):
         for k in range(1, level + 1):
             row.append(row[k - 1] + (row[k - 1] - rows[-1][k - 1]) / (4.0 ** k - 1.0))
         rows.append(row)
-        if level >= 3 and abs(rows[-1][-1] - rows[-2][-1]) < tol * (1.0 + abs(rows[-1][-1])):
-            return rows[-1][-1]
+        best = rows[-1][-1]
+        if level >= 3 and abs(best - rows[-2][-1]) < ROMBERG_TOL * (1.0 + abs(best)):
+            return best
     return rows[-1][-1]
 
 
@@ -177,15 +185,15 @@ def hessian_combination(r, xi):
     return 4.0 * np.conj(d2)
 
 
-def boundary_winding(r, loop, defect_floor=1e-9):
+def boundary_winding(r, loop):
     """Winding of (r11 - r22) + i (r12 + r21) around ``loop``.
 
-    Requires the totally-real defect to stay at or above ``defect_floor`` on
-    the loop; this winding is a diagnostic that tracks the enclosed
-    complex-point index of the corresponding section.
+    Requires the totally-real defect to stay at or above
+    ``TOTALLY_REAL_DEFECT_FLOOR`` on the loop; this winding is a diagnostic
+    that tracks the enclosed complex-point index of the corresponding section.
     """
     pts = loop.samples()
     vals = hessian_combination(r, pts)
-    if np.min(np.abs(vals) ** 2) < defect_floor:
+    if np.min(np.abs(vals) ** 2) < TOTALLY_REAL_DEFECT_FLOOR:
         raise VanishingOnLoop("totally-real defect vanishes on the loop")
     return winding_number(vals, min_mag=0.0)

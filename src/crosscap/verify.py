@@ -28,6 +28,9 @@ DEFAULT_SEED = 20120724
 
 KNOWN_DISCREPANCY_IDS = ("reality-polynomial-x3-sign", "c2-quoted-constants")
 
+RANDOM_SUPPORT_DEGREE = 4    # total degree of the reconstruction check's random supports
+RANDOM_SUPPORT_SCALE = 0.1   # and the scale of their coefficients
+
 
 @dataclass(frozen=True)
 class Check:
@@ -72,13 +75,13 @@ def _c1_params(c):
     return blowup.C1CrossCapParams(c=c, r0=np.sqrt(0.95), eps=0.1)
 
 
-def _random_support(rng, max_degree=4, scale=0.1):
+def _random_support(rng):
     terms = {}
-    for m in range(max_degree + 1):
+    for m in range(RANDOM_SUPPORT_DEGREE + 1):
         for n in range(m + 1):
-            if m + n > max_degree:
+            if m + n > RANDOM_SUPPORT_DEGREE:
                 continue
-            c = complex(rng.normal(), rng.normal()) * scale
+            c = complex(rng.normal(), rng.normal()) * RANDOM_SUPPORT_SCALE
             if m == n:
                 c = complex(c.real, 0.0)
             terms[(m, n)] = terms.get((m, n), 0) + c
@@ -219,7 +222,7 @@ def _metric_signature(inp):
 
 @_check("compatibility-constant", "neutral-structure:compatibility", -2.0, 1e-10)
 def _compatibility_constant(inp):
-    eps = linespace.discover_epsilon(n_triples=100, seed=inp.seed, tol=1e-10)
+    eps = linespace.discover_epsilon(seed=inp.seed)
     return abs(eps + 2.0) < 1e-10, float(eps)
 
 

@@ -34,6 +34,14 @@ DEFAULT_MIN_MAG = 1e-9
 DEFAULT_SAMPLE_COUNT = 256
 MAX_SAMPLE_COUNT = 2 ** 16
 
+DIVISION_REL_TOL = 1e-12  # remainder dropped by divide_by_one_plus_s, relative
+
+
+def require_radius(radius, what):
+    """Reject a radius that is not a positive finite number; ``what`` names it."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"{what} must be positive and finite, got {radius!r}")
+
 
 class MonomialField:
     """Finite sum of monomials ``c_mn xi^m xibar^n`` in canonical form.
@@ -68,8 +76,8 @@ class MonomialField:
         return cls({(0, 0): c})
 
     @classmethod
-    def monomial(cls, m, n, c=1.0):
-        return cls({(m, n): c})
+    def monomial(cls, m, n):
+        return cls({(m, n): 1.0})
 
     @classmethod
     def xi(cls):
@@ -256,12 +264,12 @@ class MonomialField:
             out[(m - dm, n - dn)] = c
         return MonomialField(out)
 
-    def divide_by_one_plus_s(self, tol=1e-12):
+    def divide_by_one_plus_s(self):
         """Divide exactly by ``1 + xi*xibar``; returns None when not divisible.
 
         Long division from the lexicographically lowest term; the quotient is
-        accepted only when the residual coefficients are below ``tol`` times
-        the coefficient scale.
+        accepted only when the residual coefficients are below
+        ``DIVISION_REL_TOL`` times the coefficient scale.
         """
         scale = self.max_abs_coeff() or 1.0
         maxdeg = self.degree()
@@ -270,7 +278,7 @@ class MonomialField:
         while rem:
             key = min(rem)
             c = rem.pop(key)
-            if abs(c) <= tol * scale:
+            if abs(c) <= DIVISION_REL_TOL * scale:
                 continue
             m, n = key
             if m + n > maxdeg:
@@ -389,21 +397,6 @@ class RationalField:
             num, p = q, p - 1
         return RationalField(num, p)
 
-    def as_polynomial(self):
-        """Return the numerator when the reduced denominator is trivial, else None."""
-        red = self.reduced()
-        return red.num if red.den_power == 0 else None
-
-
-def d_xi(f):
-    """Wirtinger derivative d/dxi of a monomial or rational field."""
-    return f.d_xi()
-
-
-def d_xibar(f):
-    """Wirtinger derivative d/dxibar of a monomial or rational field."""
-    return f.d_xibar()
-
 
 class Loop:
     """A sampling circle: center, radius and an even sample count >= 64."""
@@ -411,8 +404,7 @@ class Loop:
     __slots__ = ("center", "radius", "sample_count")
 
     def __init__(self, center, radius, sample_count=DEFAULT_SAMPLE_COUNT):
-        if radius <= 0:
-            raise ValueError("loop radius must be positive")
+        require_radius(radius, "loop radius")
         if sample_count < 64 or sample_count % 2:
             raise ValueError("sample_count must be even and at least 64")
         self.center = complex(center)
@@ -465,10 +457,10 @@ def winding_number(values, min_mag=DEFAULT_MIN_MAG):
     return w
 
 
-def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG, max_samples=MAX_SAMPLE_COUNT):
+def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG):
     """Winding number of ``func`` around ``loop``, refining the sampling.
 
-    The sample count doubles (up to ``max_samples``) until every argument
+    The sample count doubles (up to ``MAX_SAMPLE_COUNT``) until every argument
     increment is below pi/2; a vanishing value on the loop is reported
     immediately since refinement cannot repair it.
     """
@@ -478,8 +470,8 @@ def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG, max_samples=MAX_SAMPLE_COUNT
         w = _winding(vals, min_mag, f"loop of radius {loop.radius:g}", np.pi / 2)
         if w is not None:
             return w
-        if 2 * n > max_samples:
+        if 2 * n > MAX_SAMPLE_COUNT:
             raise UnresolvedWinding(
-                f"increments still reach pi/2 at the sample cap {max_samples}"
+                f"increments still reach pi/2 at the sample cap {MAX_SAMPLE_COUNT}"
             )
         n *= 2

@@ -147,23 +147,22 @@ def test_criterion_05_reality_polynomial():
             terms.get(k, 0j) == v for k, v in quoted.items()
         )
         coeff_ok = coeff_ok and terms.get((3, 0), 0j) == -3.0 * c
-        rep = blowup.g_critical_report(rp.g, c, tol=1e-10)
+        rep = blowup.g_critical_report(rp.g, c)
         crit_ok = crit_ok and rep.value_ok and rep.grad_ok and rep.det_ok
     p = blowup.C1CrossCapParams(c=5.0, r0=np.sqrt(0.95), eps=0.1)
     rp5 = blowup.derive_reality_polynomial(p)
     cert = blowup.certify_totally_real(
-        blowup.build_c1_crosscap(p),
-        radial_n=512,
-        angular_n=512,
-        min_mag=1e-6,
-        g_section=(rp5.g, (1.0 - p.eps) ** 2, 1.0, 0.95),
+        blowup.build_c1_crosscap(p), radial_n=512, angular_n=512, min_mag=1e-6
     )
+    # g(x, R0^2) on the outer annulus x in [(1 - eps)^2, 1]
+    xs = np.linspace((1.0 - p.eps) ** 2, 1.0, 512).astype(complex)
+    g_min = float(np.min(np.abs(rp5.g.eval_pair(xs, 0.95 + 0j))))
     elapsed = time.perf_counter() - start
     _report(
         5,
         f"reality polynomial (coeffs={coeff_ok}, critical={crit_ok}, "
-        f"min|W|={cert.min_abs_w:.2e}, {elapsed:.1f}s)",
-        coeff_ok and crit_ok and cert.passed and elapsed < 30.0,
+        f"min|W|={cert.min_abs_w:.2e}, min|g|={g_min:.2e}, {elapsed:.1f}s)",
+        coeff_ok and crit_ok and cert.passed and g_min > 0 and elapsed < 30.0,
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from crosscap.blowup import (
     C1CrossCapParams,
-    C2CrossCapParams,
     build_c1_crosscap,
     build_c2_crosscap,
     c1_matching_constants,
@@ -12,7 +11,6 @@ from crosscap.blowup import (
     derive_reality_polynomial,
     g_critical_report,
     seam_report,
-    simple_crosscap_map,
     simple_crosscap_surface,
 )
 from crosscap.cpoints import surface_defect
@@ -172,15 +170,11 @@ class TestCertification:
         p = C1CrossCapParams(c=5.0, r0=np.sqrt(0.95), eps=0.1)
         surf = build_c1_crosscap(p)
         rp = derive_reality_polynomial(p)
-        rep = certify_totally_real(
-            surf,
-            radial_n=512,
-            angular_n=512,
-            min_mag=1e-6,
-            g_section=(rp.g, (1.0 - p.eps) ** 2, 1.0, 0.95),
-        )
+        rep = certify_totally_real(surf, radial_n=512, angular_n=512, min_mag=1e-6)
         assert rep.passed and rep.min_abs_w > 1e-6
-        assert rep.g_section_min is not None and rep.g_section_min > 0
+        # g(x, R0^2) has no zero on the outer annulus x in [(1 - eps)^2, 1]
+        xs = np.linspace((1.0 - p.eps) ** 2, 1.0, 512).astype(complex)
+        assert np.min(np.abs(rp.g.eval_pair(xs, 0.95 + 0j))) > 0
 
     def test_inner_piece_alone_passes(self):
         p = C1CrossCapParams(c=5.0, r0=np.sqrt(0.95), eps=0.1)
@@ -234,8 +228,8 @@ class TestC2Constants:
 
 class TestC2CrossCap:
     def test_param_validation(self):
-        with pytest.raises(BadParams):
-            C2CrossCapParams(r0=0.5)
+        with pytest.raises(BadParams, match="R0"):
+            build_c2_crosscap(0.5)
 
     @pytest.mark.parametrize("r0_sq", [0.8, 0.9, 0.95])
     def test_seam_certifies_order_two(self, r0_sq):
@@ -243,12 +237,6 @@ class TestC2CrossCap:
         rep = seam_report(surf, order=2, tol=1e-9)[0]
         assert rep.certified_order == 2
         assert max(rep.eta_jumps) < 1e-9
-
-    def test_quoted_constants_break_the_seam(self):
-        surf = build_c2_crosscap(np.sqrt(0.8), use_quoted_constants=True)
-        rep = seam_report(surf, order=2, tol=1e-9)[0]
-        assert rep.certified_order == -1
-        assert rep.eta_jumps[0] > 1e-2
 
     def test_antipodal_identification(self):
         surf = build_c2_crosscap(np.sqrt(0.9))
@@ -263,22 +251,20 @@ class TestC2CrossCap:
         assert rep.passed and rep.min_abs_w > 0
 
 
+def simple_map(nu):
+    """(xi, eta) of the simple cross-cap's one piece at ``nu``."""
+    piece = simple_crosscap_surface().pieces[0]
+    return piece.xi_expr.eval(nu), piece.eta_expr.eval(nu)
+
+
 class TestSimpleCrossCap:
     def test_unit_boundary_point(self):
-        line = simple_crosscap_map(1.0)
-        assert line.xi == 0.0 and line.eta == 1.0
+        assert simple_map(1.0) == (0.0, 1.0)
 
     def test_antipodal_points_coincide(self):
-        assert simple_crosscap_map(-1.0) == simple_crosscap_map(1.0)
+        assert simple_map(-1.0) == simple_map(1.0)
 
     def test_interior_value(self):
-        line = simple_crosscap_map(0.9)
-        assert line.xi == pytest.approx((1 - 0.81) * 0.9, abs=1e-15)
-        assert line.eta == pytest.approx(0.81, abs=1e-15)
-
-    def test_surface_wraps_map(self):
-        surf = simple_crosscap_surface()
-        nu = 0.8 * np.exp(0.3j)
-        line = simple_crosscap_map(nu)
-        assert surf.pieces[0].xi_expr.eval(nu) == pytest.approx(line.xi, abs=1e-15)
-        assert surf.pieces[0].eta_expr.eval(nu) == pytest.approx(line.eta, abs=1e-15)
+        xi, eta = simple_map(0.9)
+        assert xi == pytest.approx((1 - 0.81) * 0.9, abs=1e-15)
+        assert eta == pytest.approx(0.81, abs=1e-15)

@@ -256,21 +256,49 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, text, extra",
+        "command, text, extra, message",
         [
-            ("section", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', []),
-            ("cpoints", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', []),
-            ("section", "[1, 2]", []),
-            ("section", '[{"m": 3, "n": 0, "re": NaN}, {"m": 0, "n": 3, "re": 0.5}]', []),
-            ("section", json.dumps(CUBIC_RECORDS), ["--disc", "-1"]),
+            ("section", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', [], "vanishes identically"),
+            ("cpoints", '[{"m": 0, "n": 0, "re": 1.0, "im": 0.0}]', [], "vanishes identically"),
+            ("section", "[1, 2]", [], "not an {m, n, re, im} record"),
+            (
+                "section",
+                '[{"m": 3, "n": 0, "re": NaN}, {"m": 0, "n": 3, "re": 0.5}]',
+                [],
+                "must be finite",
+            ),
+            ("section", json.dumps(CUBIC_RECORDS), ["--disc", "-1"], "disc radius"),
+            ("reconstruct", json.dumps(CUBIC_RECORDS), ["--constant", "nan"], "must be finite"),
+            # numpy refuses the 7.28 TiB axis at once
+            ("section", json.dumps(CUBIC_RECORDS), ["--grid-n", "1000000000000"], "allocate"),
+            ("blowup", '{"kind": "c2", "r0": 0.5}', [], "need 3^(-1/2) < R0 < 1"),
+            (
+                "blowup",
+                '{"kind": "c2", "r0": 0.9, "inner_radius": 0.95}',
+                [],
+                "inner radius must satisfy",
+            ),
         ],
-        ids=["constant-section", "constant-cpoints", "not-records", "nan", "negative-disc"],
+        ids=[
+            "constant-section",
+            "constant-cpoints",
+            "not-records",
+            "nan",
+            "negative-disc",
+            "nan-constant",
+            "oversized-grid",
+            "c2-r0",
+            "c2-inner-radius",
+        ],
     )
-    def test_invalid_input_is_one_line_exit_one(self, command, text, extra, tmp_path, capsys):
+    def test_invalid_input_is_one_line_exit_one(
+        self, command, text, extra, message, tmp_path, capsys
+    ):
         path = tmp_path / "input.json"
         path.write_text(text)
         out = tmp_path / "out.json"
         assert main([command, str(path), "--out", str(out), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()

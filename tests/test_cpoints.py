@@ -28,7 +28,7 @@ XIBAR = MonomialField.xibar()
 
 def hyperbolic_example_section():
     # eta = (1 + xi xibar)^2 xibar^2
-    return SectionGraph(RationalField((ONE + S) * (ONE + S) * XIBAR * XIBAR, 0), "raw")
+    return SectionGraph(RationalField((ONE + S) * (ONE + S) * XIBAR * XIBAR, 0))
 
 
 def elliptic_example_section():

@@ -181,7 +181,7 @@ class TestTensors:
     def test_compatibility_ratio_is_constant(self):
         # Omega(v, w) = eps G(Jv, w): eps is discovered, and with the wedge
         # and symmetrized-product conventions above it comes out -2.
-        eps = discover_epsilon(n_triples=100, seed=0, tol=1e-10)
+        eps = discover_epsilon(seed=0)
         assert eps == pytest.approx(-2.0, abs=1e-10)
 
     def test_matrices_are_consistent(self):

@@ -48,7 +48,6 @@ class TestSectionFromSupport:
         sec = section_from_support(cubic_support())
         expected = (ONE + S) * (ONE + S) * MonomialField.monomial(0, 2)
         assert sec.F.num == expected
-        assert sec.provenance == "from-support"
 
     def test_quadratic_support(self):
         sec = section_from_support(SupportFunction(S))

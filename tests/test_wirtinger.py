@@ -158,8 +158,9 @@ class TestWinding:
     def test_loop_validation(self):
         with pytest.raises(ValueError):
             Loop(0, 1.0, sample_count=63)
-        with pytest.raises(ValueError):
-            Loop(0, -1.0)
+        for radius in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                Loop(0, radius)
 
 
 class TestWireFormat:
