@@ -19,7 +19,8 @@ For profile surfaces W factors as
 
 and for the C1 outer piece the bracket is 2 g(s, R0^2) for an explicit
 bivariate polynomial g whose critical behaviour at (1,1) controls the
-absence of complex points.
+absence of complex points near the rim.  ``certify_totally_real`` counts the
+roots of the bracket on each piece exactly, with a Sturm sequence.
 """
 
 import math
@@ -49,9 +50,11 @@ SEAM_ANGLES = 64                       # seam_report's sample angles per seam
 class C1CrossCapParams:
     """Parameters of the C1 cross-cap.
 
-    Requires 1 - eps < R0 < 1 and (1 - eps)^2 > 1/3; total reality is only
-    guaranteed for 1 < c < 9 (outside that range circles of complex points
-    may appear, which certification will report).
+    Requires 1 - eps < R0 < 1 and (1 - eps)^2 > 1/3.  For 1 < c < 9 the
+    Hessian of g at (1, 1) is definite, which rules out complex points only
+    for R0 close enough to 1: at R0 = 0.9, eps = 0.3 the outer piece carries
+    two circles of complex points for every c above about 7.42.
+    Certification reports them.
     """
 
     c: float
@@ -214,10 +217,24 @@ def g_critical_report(g, c):
 
 @dataclass(frozen=True)
 class PieceCertification:
+    """The certificate of one piece.
+
+    ``"sturm"``: the piece is a profile piece, W = nubar h(nu nubar) with
+    h != 0, and ``root_count`` is the exact number of distinct common real
+    roots of Re h and Im h on [rho_in^2, rho_out^2], ends included; each is a
+    circle of complex points.  ``min_abs_w`` is the smallest
+    |W| = r |h(r^2)| over ``radial_n`` radii and ``argmin_nu`` that radius.
+
+    ``"grid"``: any other piece; |W| is swept on a (radius, angle) grid and
+    ``root_count`` counts the samples with |W| < min_mag.
+    """
+
     rho_in: float
     rho_out: float
     min_abs_w: float
     argmin_nu: complex
+    certificate: str
+    root_count: int
 
 
 @dataclass(frozen=True)
@@ -225,42 +242,197 @@ class CertificationReport:
     pieces: tuple
     min_abs_w: float
     passed: bool
-    min_mag: float
 
 
 def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
-    """Sweep |W| over every piece on a (radius, angle) grid.
+    """Certify that no piece of ``S`` carries a complex point (W = 0).
 
-    Seams are approached one-sidedly: each piece is evaluated with its own
-    polynomial up to and including its boundary radii.
+    A profile piece gets the exact Sturm certificate; only a piece whose
+    defect is not nubar times a polynomial in nu nubar falls back to the
+    grid sweep, which alone uses ``angular_n`` and ``min_mag``.  Seams are
+    approached one-sidedly: each piece is certified with its own polynomial
+    up to and including its boundary radii.
     """
     if radial_n < 64 or angular_n < 64:
         raise BadParams("certification grids must be at least 64 x 64")
-    theta = 2.0 * np.pi * np.arange(angular_n) / angular_n
-    phases = np.exp(1j * theta)
     certs = []
-    overall = np.inf
     for piece in S.pieces:
-        w_field = piece.defect_field()
-        radii = np.linspace(piece.rho_in, piece.rho_out, radial_n)
-        grid = radii[:, None] * phases[None, :]
-        vals = np.abs(w_field.eval(grid))
-        k = int(np.argmin(vals))
-        certs.append(
-            PieceCertification(
-                rho_in=piece.rho_in,
-                rho_out=piece.rho_out,
-                min_abs_w=float(vals.flat[k]),
-                argmin_nu=complex(grid.flat[k]),
-            )
-        )
-        overall = min(overall, float(vals.flat[k]))
+        exact_h = _exact_profile_h(piece)
+        if exact_h is None:
+            certs.append(_grid_certificate(piece, radial_n, angular_n, min_mag))
+        else:
+            certs.append(_sturm_certificate(piece, exact_h, radial_n))
     return CertificationReport(
         pieces=tuple(certs),
-        min_abs_w=overall,
-        passed=overall >= min_mag,
-        min_mag=min_mag,
+        min_abs_w=min(c.min_abs_w for c in certs),
+        passed=all(c.root_count == 0 for c in certs),
     )
+
+
+def _exact_profile_h(piece):
+    """h as exact integer pairs ``(Re, Im)`` over a common denominator,
+    ``(coefficients lowest degree first, denominator)``, when
+    W = nubar h(nu nubar) with h != 0; None otherwise.
+
+    W = d_eta dbar_xi - dbar_eta d_xi is expanded exactly from the float
+    coefficients of the chart maps, not from the rounded ``defect_field``:
+    the monomials a nu^m1 nubar^n1 of eta and b nu^m2 nubar^n2 of xi
+    contribute (m1 n2 - n1 m2) a b to the one monomial
+    nu^(m1+m2-1) nubar^(n1+n2-1).
+    """
+    xi, xi_den = _integer_terms(piece.xi_expr)
+    eta, eta_den = _integer_terms(piece.eta_expr)
+    w = {}
+    for (m1, n1), (a, b) in eta.items():
+        for (m2, n2), (c, d) in xi.items():
+            weight = m1 * n2 - n1 * m2
+            if weight:
+                key = (m1 + m2 - 1, n1 + n2 - 1)
+                re, im = w.get(key, (0, 0))
+                w[key] = (re + weight * (a * c - b * d), im + weight * (a * d + b * c))
+    h = {}
+    for (m, n), coeff in w.items():
+        if coeff != (0, 0):
+            if n != m + 1:
+                return None
+            h[m] = coeff
+    if not h:
+        return None
+    return [h.get(k, (0, 0)) for k in range(max(h) + 1)], xi_den * eta_den
+
+
+def _integer_terms(field):
+    """The coefficients of ``field`` as integer pairs (re, im) over one common
+    denominator, returned alongside.  Float denominators are powers of two,
+    so the largest is a multiple of every other."""
+    ratios = {
+        k: (c.real.as_integer_ratio(), c.imag.as_integer_ratio())
+        for k, c in field.terms().items()
+    }
+    den = max((d for pair in ratios.values() for _, d in pair), default=1)
+    return {k: tuple(n * (den // d) for n, d in pair) for k, pair in ratios.items()}, den
+
+
+def _sturm_certificate(piece, exact_h, radial_n):
+    coeffs, den = exact_h
+    lo, hi = Fraction(piece.rho_in), Fraction(piece.rho_out)
+    roots = _common_root_count(
+        [re for re, _ in coeffs], [im for _, im in coeffs], lo * lo, hi * hi
+    )
+    radii = np.linspace(piece.rho_in, piece.rho_out, radial_n)
+    s = radii * radii
+    acc = np.zeros(radial_n, dtype=complex)
+    for re, im in reversed(coeffs):
+        # integer true division rounds correctly, as float(Fraction(re, den)) does
+        acc = complex(re / den, im / den) + acc * s
+    vals = radii * np.abs(acc)
+    k = int(np.argmin(vals))
+    return PieceCertification(
+        rho_in=piece.rho_in,
+        rho_out=piece.rho_out,
+        min_abs_w=float(vals[k]),
+        argmin_nu=complex(radii[k]),
+        certificate="sturm",
+        root_count=roots,
+    )
+
+
+def _grid_certificate(piece, radial_n, angular_n, min_mag):
+    theta = 2.0 * np.pi * np.arange(angular_n) / angular_n
+    radii = np.linspace(piece.rho_in, piece.rho_out, radial_n)
+    grid = radii[:, None] * np.exp(1j * theta)[None, :]
+    vals = np.abs(piece.defect_field().eval(grid))
+    k = int(np.argmin(vals))
+    return PieceCertification(
+        rho_in=piece.rho_in,
+        rho_out=piece.rho_out,
+        min_abs_w=float(vals.flat[k]),
+        argmin_nu=complex(grid.flat[k]),
+        certificate="grid",
+        root_count=int(np.count_nonzero(~(vals >= min_mag))),
+    )
+
+
+# -- exact root counting over the integers ----------------------------------
+# Polynomials are lists of Python ints, lowest degree first, with no trailing
+# zeros; scaling by a positive integer changes neither roots nor signs.
+
+
+def _primitive(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    g = math.gcd(*p) if p else 1
+    return [c // g for c in p] if g > 1 else p
+
+
+def _negated_remainder(a, b):
+    """A positive multiple of -(a mod b), made primitive.
+
+    Pseudo-division multiplies a by lead(b) before each step, so the
+    remainder it leaves is lead(b)^steps (a mod b); the sign of that factor
+    is undone.
+    """
+    lead, steps = b[-1], 0
+    while len(a) >= len(b):
+        q, shift = a[-1], len(a) - len(b)
+        a = [lead * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a = a[:-1]
+        while a and a[-1] == 0:
+            a.pop()
+        steps += 1
+    flip = lead < 0 and steps % 2
+    return _primitive(a if flip else [-c for c in a])
+
+
+def _sturm_chain(p):
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while chain[-1]:
+        chain.append(_negated_remainder(chain[-2], chain[-1]))
+    chain.pop()
+    return chain
+
+
+def _exact_quotient(a, b):
+    """a / b for integer polynomials where b is primitive and divides a."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        q[shift] = a[shift + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[shift + i] -= q[shift] * c
+    return q
+
+
+def _sign_at(p, x):
+    """Sign of p at the rational x, from den^deg p(num/den) in integers."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(chain, x):
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _common_root_count(re, im, lo, hi):
+    """Distinct common real roots of two integer polynomials on [lo, hi].
+
+    Their gcd carries exactly the common roots (gcd(p, 0) = p); Sturm's
+    theorem counts the roots of its squarefree part in (lo, hi], and a root
+    at lo is added.
+    """
+    a, b = _primitive(re), _primitive(im)
+    while b:
+        a, b = b, _negated_remainder(a, b)
+    chain = _sturm_chain(a)
+    if len(chain[-1]) > 1:          # repeated roots: gcd(a, a') has degree > 0
+        chain = _sturm_chain(_primitive(_exact_quotient(a, chain[-1])))
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi) + (_sign_at(chain[0], lo) == 0)
 
 
 def _c2_inner_profile():
@@ -392,6 +564,8 @@ def _radial_derivative_values(expr, order, points):
 
 def seam_report(S, order=2, tol=1e-9):
     """Jumps of the chart components and their radial derivatives at each seam."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParams(f"seam tolerance must be finite and non-negative, got {tol!r}")
     reports = []
     theta = 2.0 * np.pi * np.arange(SEAM_ANGLES) / SEAM_ANGLES
     for left, right in zip(S.pieces, S.pieces[1:]):

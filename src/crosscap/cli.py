@@ -29,7 +29,7 @@ from . import euclid as eu
 from . import ledger as lg
 from . import linespace as ls
 from . import sections as se
-from .errors import CrosscapError
+from .errors import BadParams, CrosscapError, EmptyMesh
 from .verify import report_to_json, run_verification
 from .wirtinger import MonomialField, RationalField
 
@@ -91,7 +91,11 @@ def _parse_grid(text, default):
     if not text:
         return default
     rows, _, cols = text.partition("x")
-    return int(rows), int(cols)
+    rows, cols = int(rows), int(cols)
+    min_rows, min_cols = eu.MIN_MESH_GRID
+    if rows < min_rows or cols < min_cols:
+        raise EmptyMesh(f"grid {rows}x{cols} is below the {min_rows}x{min_cols} minimum")
+    return rows, cols
 
 
 def _complex_point_payload(rep):
@@ -112,6 +116,8 @@ def _crosscap_from_params(params):
     r0 = params.get("r0")
     if r0 is None and "r0_sq" in params:
         r0 = float(np.sqrt(params["r0_sq"]))
+    if r0 is None and kind in ("c1", "c2"):
+        raise BadParams(f"{kind} cross-cap parameters need r0 or r0_sq")
     if kind == "c1":
         alpha = complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))
         p = bl.C1CrossCapParams(
@@ -160,9 +166,7 @@ def cmd_blowup(args):
     params = _load_json(args.input)
     surf, p = _crosscap_from_params(params)
     seams = bl.seam_report(surf, order=2, tol=args.tol)
-    cert = bl.certify_totally_real(
-        surf, radial_n=args.grid_n, angular_n=args.grid_n, min_mag=args.min_mag
-    )
+    cert = bl.certify_totally_real(surf, radial_n=args.grid_n)
     payload = {
         "pieces": [
             {"rho_in": piece.rho_in, "rho_out": piece.rho_out}
@@ -187,6 +191,8 @@ def cmd_blowup(args):
                     "min_abs_w": c.min_abs_w,
                     "argmin_re": c.argmin_nu.real,
                     "argmin_im": c.argmin_nu.imag,
+                    "certificate": c.certificate,
+                    "root_count": c.root_count,
                 }
                 for c in cert.pieces
             ],
@@ -333,8 +339,7 @@ def build_parser():
     p.add_argument("input", help="JSON parameters ({'kind': 'c1'|'c2'|'simple', ...})")
     p.add_argument("--out", default=None)
     p.add_argument("--samples-out", default=None, help="optional CSV of surface samples")
-    p.add_argument("--grid-n", type=int, default=256)
-    p.add_argument("--min-mag", type=float, default=1e-6)
+    p.add_argument("--grid-n", type=int, default=256, help="radii of the reported min |W|")
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_blowup)
 

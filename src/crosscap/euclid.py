@@ -39,6 +39,7 @@ JACOBIAN_STEP = 1e-6           # chart step of principal_analysis's Jacobian
 # exceeds UMBILIC_DEFECT_TOL is no umbilic.
 FLAT_DEFECT_TOL = 1e-10
 UMBILIC_DEFECT_TOL = 1e-8
+MIN_MESH_GRID = (2, 3)         # the smallest (rows, cols) a mesh accepts
 
 
 def point_from_line(xi, eta, r_value):
@@ -73,8 +74,9 @@ class MeshR3:
         if points.ndim != 3 or points.shape[2] != 3:
             raise ValueError("points must have shape (rows, cols, 3)")
         rows, cols = points.shape[:2]
-        if rows < 2 or cols < 3:
-            raise EmptyMesh(f"mesh grid {rows}x{cols} is below the 2x3 minimum")
+        min_rows, min_cols = MIN_MESH_GRID
+        if rows < min_rows or cols < min_cols:
+            raise EmptyMesh(f"mesh grid {rows}x{cols} is below the {min_rows}x{min_cols} minimum")
         for axis in (0, 1):
             d = np.diff(points, axis=axis)
             if np.min(np.linalg.norm(d, axis=-1)) == 0.0:

@@ -128,12 +128,26 @@ class TestBlowup:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params))
         out = tmp_path / "blowup.json"
-        rc = main(["blowup", str(path), "--out", str(out), "--grid-n", "64", "--min-mag", "1e-9"])
+        rc = main(["blowup", str(path), "--out", str(out), "--grid-n", "64"])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["seams"][0]["certified_order"] == 2
         assert abs(payload["constants"]["quoted_value_residual"]) > 1e-4
         assert payload["certification"]["passed"]
+        for piece in payload["certification"]["pieces"]:
+            assert (piece["certificate"], piece["root_count"], piece["argmin_im"]) == ("sturm", 0, 0.0)
+
+    # at the defaults R0 = 0.9, eps = 0.3, 256 radii: c = 0.5, 9.5, 12 and 50
+    # put two circles of complex points on the outer piece (one for c = 0.5)
+    @pytest.mark.parametrize("c, roots", [(0.5, 1), (5.0, 0), (9.5, 2), (12.0, 2), (50.0, 2)])
+    def test_c1_verdict_at_defaults(self, c, roots, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"kind": "c1", "c": c, "r0": 0.9, "eps": 0.3}))
+        out = tmp_path / "blowup.json"
+        assert main(["blowup", str(path), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())["certification"]
+        assert cert["passed"] == (roots == 0)
+        assert [p["root_count"] for p in cert["pieces"]] == [0, roots]
 
 
 class TestReconstruct:
@@ -272,6 +286,10 @@ class TestErrors:
             # numpy refuses the 7.28 TiB axis at once
             ("section", json.dumps(CUBIC_RECORDS), ["--grid-n", "1000000000000"], "allocate"),
             ("blowup", '{"kind": "c2", "r0": 0.5}', [], "need 3^(-1/2) < R0 < 1"),
+            ("blowup", '{"kind": "c2"}', [], "need r0 or r0_sq"),
+            ("blowup", '{"kind": "c1", "c": 5.0, "eps": 0.3}', [], "need r0 or r0_sq"),
+            ("blowup", '{"kind": "c2", "r0": 0.9}', ["--tol", "nan"], "seam tolerance"),
+            ("reconstruct", json.dumps(CUBIC_RECORDS), ["--grid", "0x5"], "below the 2x3"),
             (
                 "blowup",
                 '{"kind": "c2", "r0": 0.9, "inner_radius": 0.95}',
@@ -288,6 +306,10 @@ class TestErrors:
             "nan-constant",
             "oversized-grid",
             "c2-r0",
+            "c2-missing-r0",
+            "c1-missing-r0",
+            "nan-tol",
+            "zero-grid-rows",
             "c2-inner-radius",
         ],
     )
