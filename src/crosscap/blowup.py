@@ -23,6 +23,7 @@ absence of complex points near the rim.  ``certify_totally_real`` counts the
 roots of the bracket on each piece exactly, with a Sturm sequence.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,8 @@ SEAM_ANGLES = 64                       # seam_report's sample angles per seam
 class C1CrossCapParams:
     """Parameters of the C1 cross-cap.
 
-    Requires 1 - eps < R0 < 1 and (1 - eps)^2 > 1/3.  For 1 < c < 9 the
+    Requires 1 - eps < R0 < 1, (1 - eps)^2 > 1/3, a finite c and a finite
+    nonzero alpha, the constant factor of eta.  For 1 < c < 9 the
     Hessian of g at (1, 1) is definite, which rules out complex points only
     for R0 close enough to 1: at R0 = 0.9, eps = 0.3 the outer piece carries
     two circles of complex points for every c above about 7.42.
@@ -67,6 +69,8 @@ class C1CrossCapParams:
             raise BadParams("need 1 - eps < R0 < 1 with 0 < eps < 1")
         if (1.0 - self.eps) ** 2 <= 1.0 / 3.0:
             raise BadParams("inner radius must satisfy (1 - eps)^2 > 1/3")
+        if not (math.isfinite(self.c) and cmath.isfinite(self.alpha) and self.alpha != 0):
+            raise BadParams("need a finite c and a finite nonzero alpha")
 
 
 def c1_matching_constants(c, r0):
@@ -75,7 +79,7 @@ def c1_matching_constants(c, r0):
     return (c - 1.0) * t0 * t0, 2.0 * (1.0 - c) * t0
 
 
-def _profile_surface(pieces_spec):
+def _profile_surface(pieces_spec, eta_scale=1.0 + 0j):
     """Assemble a ParamSurface from (rho_in, rho_out, profile-in-t) triples."""
     xi_expr = T * NU
     pieces = []
@@ -86,18 +90,20 @@ def _profile_surface(pieces_spec):
                 rho_out=rho_out,
                 xi_expr=xi_expr,
                 eta_expr=profile * NUBAR2,
+                eta_scale=eta_scale,
             )
         )
     return ParamSurface(pieces)
 
 
 def build_c1_crosscap(p):
-    """Two-piece C1 cross-cap: inner profile t^2, outer a + b t + c t^2."""
+    """Two-piece C1 cross-cap: inner profile t^2, outer a + b t + c t^2, with
+    eta scaled by alpha (kept as each piece's ``eta_scale``)."""
     a, b = c1_matching_constants(p.c, p.r0)
-    inner = p.alpha * (T * T)
-    outer = p.alpha * (a * ONE + b * T + p.c * (T * T))
+    inner = T * T
+    outer = a * ONE + b * T + p.c * (T * T)
     return _profile_surface(
-        [(1.0 - p.eps, p.r0, inner), (p.r0, 1.0, outer)]
+        [(1.0 - p.eps, p.r0, inner), (p.r0, 1.0, outer)], eta_scale=p.alpha
     )
 
 
@@ -225,8 +231,9 @@ class PieceCertification:
     circle of complex points.  ``min_abs_w`` is the smallest
     |W| = r |h(r^2)| over ``radial_n`` radii and ``argmin_nu`` that radius.
 
-    ``"grid"``: any other piece; |W| is swept on a (radius, angle) grid and
-    ``root_count`` counts the samples with |W| < min_mag.
+    ``"grid"``: any other piece; |W| is swept on a (radius, angle) grid, the
+    piece passes when no sample has |W| < min_mag (or NaN), and
+    ``root_count`` is None: the grid counts no roots.
     """
 
     rho_in: float
@@ -234,7 +241,8 @@ class PieceCertification:
     min_abs_w: float
     argmin_nu: complex
     certificate: str
-    root_count: int
+    root_count: int | None
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -249,7 +257,9 @@ def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
 
     A profile piece gets the exact Sturm certificate; only a piece whose
     defect is not nubar times a polynomial in nu nubar falls back to the
-    grid sweep, which alone uses ``angular_n`` and ``min_mag``.  Seams are
+    grid sweep, which alone uses ``angular_n`` and ``min_mag``.  The
+    certificate reads ``eta_expr``, not the rounded ``eta``: a constant
+    ``eta_scale`` changes no zero of W.  Seams are
     approached one-sidedly: each piece is certified with its own polynomial
     up to and including its boundary radii.
     """
@@ -265,7 +275,7 @@ def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
     return CertificationReport(
         pieces=tuple(certs),
         min_abs_w=min(c.min_abs_w for c in certs),
-        passed=all(c.root_count == 0 for c in certs),
+        passed=all(c.passed for c in certs),
     )
 
 
@@ -274,8 +284,9 @@ def _exact_profile_h(piece):
     ``(coefficients lowest degree first, denominator)``, when
     W = nubar h(nu nubar) with h != 0; None otherwise.
 
-    W = d_eta dbar_xi - dbar_eta d_xi is expanded exactly from the float
-    coefficients of the chart maps, not from the rounded ``defect_field``:
+    W / eta_scale = d_eta dbar_xi - dbar_eta d_xi with eta = ``eta_expr`` is
+    expanded exactly from the float coefficients of the chart maps, not from
+    the rounded ``defect_field``:
     the monomials a nu^m1 nubar^n1 of eta and b nu^m2 nubar^n2 of xi
     contribute (m1 n2 - n1 m2) a b to the one monomial
     nu^(m1+m2-1) nubar^(n1+n2-1).
@@ -325,7 +336,7 @@ def _sturm_certificate(piece, exact_h, radial_n):
     for re, im in reversed(coeffs):
         # integer true division rounds correctly, as float(Fraction(re, den)) does
         acc = complex(re / den, im / den) + acc * s
-    vals = radii * np.abs(acc)
+    vals = abs(piece.eta_scale) * radii * np.abs(acc)
     k = int(np.argmin(vals))
     return PieceCertification(
         rho_in=piece.rho_in,
@@ -334,6 +345,7 @@ def _sturm_certificate(piece, exact_h, radial_n):
         argmin_nu=complex(radii[k]),
         certificate="sturm",
         root_count=roots,
+        passed=roots == 0,
     )
 
 
@@ -349,7 +361,8 @@ def _grid_certificate(piece, radial_n, angular_n, min_mag):
         min_abs_w=float(vals.flat[k]),
         argmin_nu=complex(grid.flat[k]),
         certificate="grid",
-        root_count=int(np.count_nonzero(~(vals >= min_mag))),
+        root_count=None,
+        passed=bool(np.all(vals >= min_mag)),
     )
 
 
@@ -577,8 +590,8 @@ def seam_report(S, order=2, tol=1e-9):
             dxi = _radial_derivative_values(left.xi_expr, k, pts) - _radial_derivative_values(
                 right.xi_expr, k, pts
             )
-            deta = _radial_derivative_values(left.eta_expr, k, pts) - _radial_derivative_values(
-                right.eta_expr, k, pts
+            deta = _radial_derivative_values(left.eta, k, pts) - _radial_derivative_values(
+                right.eta, k, pts
             )
             xi_jumps.append(float(np.max(np.abs(dxi))))
             eta_jumps.append(float(np.max(np.abs(deta))))

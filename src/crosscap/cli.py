@@ -19,6 +19,7 @@ trips bit-exactly.  All outputs are ASCII with stable key order.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -109,28 +110,39 @@ def _complex_point_payload(rep):
     }
 
 
+def _number(params, key, default=None):
+    """``params[key]`` (or ``default`` when absent) as a float; BadParams
+    unless it is a JSON number."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadParams(f"cross-cap parameter {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _crosscap_from_params(params):
     """The cross-cap surface, with the C1 parameters or the C2 seam constants
     (None for the simple cap)."""
     kind = params.get("kind", "c1")
-    r0 = params.get("r0")
-    if r0 is None and "r0_sq" in params:
-        r0 = float(np.sqrt(params["r0_sq"]))
+    r0 = None
+    if params.get("r0") is not None:
+        r0 = _number(params, "r0")
+    elif "r0_sq" in params:
+        r0_sq = _number(params, "r0_sq")
+        r0 = math.sqrt(r0_sq) if r0_sq >= 0.0 else math.nan  # left to the range checks
     if r0 is None and kind in ("c1", "c2"):
         raise BadParams(f"{kind} cross-cap parameters need r0 or r0_sq")
     if kind == "c1":
-        alpha = complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))
+        alpha = complex(_number(params, "alpha_re", 1.0), _number(params, "alpha_im", 0.0))
         p = bl.C1CrossCapParams(
-            c=float(params["c"]), r0=float(r0), eps=float(params["eps"]), alpha=alpha
+            c=_number(params, "c"), r0=r0, eps=_number(params, "eps"), alpha=alpha
         )
         return bl.build_c1_crosscap(p), p
     if kind == "c2":
-        r0 = float(r0)
         consts = bl.c2_constants(r0)
-        inner = float(params.get("inner_radius", 0.6))
+        inner = _number(params, "inner_radius", 0.6)
         return bl.build_c2_crosscap(r0, inner_radius=inner), consts
     if kind == "simple":
-        return bl.simple_crosscap_surface(float(params.get("inner_radius", 3 ** -0.5))), None
+        return bl.simple_crosscap_surface(_number(params, "inner_radius", 3 ** -0.5)), None
     raise ValueError(f"unknown cross-cap kind {kind!r}")
 
 
@@ -227,7 +239,7 @@ def cmd_blowup(args):
             theta = 2.0 * np.pi * np.arange(32) / 32
             nus = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
             xis = piece.xi_expr.eval(nus)
-            etas = piece.eta_expr.eval(nus)
+            etas = piece.eta.eval(nus)
             ws = piece.defect_field().eval(nus)
             blocks.append(
                 np.column_stack([nus.real, nus.imag, xis.real, xis.imag,

@@ -12,12 +12,14 @@ hyperbolic.  The umbilic index of the orthogonal surface in 3-space is half
 the complex index.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
+    BadParams,
     DegenerateQuadratic,
     DegenerateZeroCurve,
     OnSeam,
@@ -35,19 +37,36 @@ QUADRATIC_BOUNDARY_REL_TOL = 1e-12  # quadratic_model_index's degenerate band, r
 
 @dataclass(frozen=True)
 class ParamPiece:
-    """One annular piece rho_in <= |nu| <= rho_out with polynomial chart data."""
+    """One annular piece rho_in <= |nu| <= rho_out with polynomial chart data.
+
+    The chart is xi = ``xi_expr`` and eta = ``eta_scale`` * ``eta_expr``.  W is
+    linear in eta, so a constant factor kept outside the coefficients leaves
+    the zero set of W exactly that of ``eta_expr``; multiplied in, it would be
+    rounded into each real and imaginary part separately.
+    """
 
     rho_in: float
     rho_out: float
     xi_expr: MonomialField
     eta_expr: MonomialField
+    eta_scale: complex = 1.0 + 0j
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.eta_scale) and self.eta_scale != 0):
+            raise BadParams(f"eta_scale must be finite and nonzero, got {self.eta_scale!r}")
+        for field in (self.xi_expr, self.eta_expr):
+            if not all(cmath.isfinite(c) for c in field.terms().values()):
+                raise BadParams("chart coefficients must be finite")
+
+    @property
+    def eta(self):
+        """eta as one field, with ``eta_scale`` multiplied into the coefficients."""
+        return self.eta_expr if self.eta_scale == 1 else self.eta_scale * self.eta_expr
 
     def defect_field(self):
         """W = d_eta dbar_xi - dbar_eta d_xi as an exact polynomial field."""
-        return (
-            self.eta_expr.d_xi() * self.xi_expr.d_xibar()
-            - self.eta_expr.d_xibar() * self.xi_expr.d_xi()
-        )
+        eta = self.eta
+        return eta.d_xi() * self.xi_expr.d_xibar() - eta.d_xibar() * self.xi_expr.d_xi()
 
 
 class ParamSurface:

@@ -337,7 +337,7 @@ def ruled_family(S, radii, t_values, angular_n=64):
         theta = 2.0 * np.pi * np.arange(angular_n) / angular_n
         nus = radius * np.exp(1j * theta)
         xis = piece.xi_expr.eval(nus)
-        etas = piece.eta_expr.eval(nus)
+        etas = piece.eta.eval(nus)
         pts = point_from_line(
             np.broadcast_to(xis, (t_values.size, angular_n)),
             np.broadcast_to(etas, (t_values.size, angular_n)),

@@ -463,7 +463,7 @@ def _crosscap_boundary(inp):
     boundary_pts = np.exp(1j * 2.0 * np.pi * np.arange(64) / 64)
     xi_max = float(np.max(np.abs(outer.xi_expr.eval(boundary_pts))))
     eta_diff = float(
-        np.max(np.abs(outer.eta_expr.eval(boundary_pts) - outer.eta_expr.eval(-boundary_pts)))
+        np.max(np.abs(outer.eta.eval(boundary_pts) - outer.eta.eval(-boundary_pts)))
     )
     return xi_max < 1e-15 and eta_diff == 0.0, [xi_max, eta_diff]
 

@@ -1,6 +1,7 @@
 """The exact total-reality certificate against the benchmark's independent
 oracles (``bench/oracles.py``, which shares no code with the library)."""
 
+import cmath
 import math
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from crosscap.blowup import (
     simple_crosscap_surface,
 )
 from crosscap.cpoints import ParamPiece, ParamSurface
+from crosscap.errors import BadParams
 from crosscap.wirtinger import MonomialField
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -76,16 +78,23 @@ def test_c1_circles_inside_the_hessian_range_are_real():
     assert np.count_nonzero(np.diff(np.sign(h))) == 2
 
 
-@pytest.mark.parametrize("c, passed", [(5.0, True), (12.0, False)])
-def test_complex_alpha(c, passed):
-    """alpha = e^{i pi/4} with both parts the correctly rounded sqrt(1/2):
-    Re h = Im h exactly, so their common roots are the roots of either."""
-    alpha = complex(math.sqrt(0.5), math.sqrt(0.5))
-    cert = certify_totally_real(
-        build_c1_crosscap(C1CrossCapParams(c=c, r0=0.9, eps=0.3, alpha=alpha))
-    )
-    assert cert.passed == passed
-    assert [p.certificate for p in cert.pieces] == ["sturm", "sturm"]
+COMPLEX_ALPHAS = [cmath.exp(1j * math.pi / 4), cmath.exp(1j * math.pi / 3), 0.7 - 1.3j, -1.0]
+
+
+@pytest.mark.parametrize("alpha", COMPLEX_ALPHAS)
+@pytest.mark.parametrize("c, roots", [(5.0, 0), (12.0, 2)])
+def test_complex_alpha(alpha, c, roots):
+    """W is linear in alpha, so alpha changes no complex point.  The roundings
+    of alpha times each coefficient differ between the real and imaginary
+    parts (e^{i pi/4} has Im 1 ulp below Re), so with alpha multiplied into
+    the coefficients Re h and Im h lost their common roots and c = 12 passed."""
+    surf = build_c1_crosscap(C1CrossCapParams(c=c, r0=0.9, eps=0.3, alpha=alpha))
+    cert = certify_totally_real(surf)
+    assert cert.passed == (roots == 0)
+    assert [(p.certificate, p.root_count) for p in cert.pieces] == [("sturm", 0), ("sturm", roots)]
+    base = certify_totally_real(build_c1_crosscap(C1CrossCapParams(c=c, r0=0.9, eps=0.3)))
+    for got, want in zip(cert.pieces, base.pieces):
+        assert got.min_abs_w == pytest.approx(abs(alpha) * want.min_abs_w, rel=1e-15)
 
 
 def profile_piece(rho_in, rho_out, p):
@@ -125,6 +134,31 @@ def test_non_profile_piece_falls_back_to_the_grid():
     surf = ParamSurface([ParamPiece(0.5, 1.0, xi, t * t)])
     cert = certify_totally_real(surf, radial_n=64, angular_n=64, min_mag=1e-6)
     (piece,) = cert.pieces
-    assert piece.certificate == "grid"
-    assert piece.root_count > 0 and piece.min_abs_w < 1e-12
+    assert (piece.certificate, piece.root_count, piece.passed) == ("grid", None, False)
+    assert piece.min_abs_w < 1e-12
     assert not cert.passed
+
+
+@pytest.mark.parametrize(
+    "eta, scale",
+    [
+        (MonomialField({(0, 2): math.inf}), 1.0),
+        (MonomialField({(0, 2): complex(1.0, math.nan)}), 1.0),
+        (MonomialField.monomial(0, 2), 0.0),
+        (MonomialField.monomial(0, 2), complex(math.inf, 0.0)),
+    ],
+    ids=["inf-coefficient", "nan-coefficient", "zero-scale", "inf-scale"],
+)
+def test_piece_rejects_non_finite_chart_data(eta, scale):
+    with pytest.raises(BadParams):
+        ParamPiece(0.5, 1.0, MonomialField.monomial(1, 0), eta, eta_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "c, alpha",
+    [(1e308, 1.0), (math.inf, 1.0), (math.nan, 1.0), (5.0, complex(math.inf, 0.0)), (5.0, 0.0)],
+    ids=["c-overflows-coefficients", "inf-c", "nan-c", "inf-alpha", "zero-alpha"],
+)
+def test_c1_rejects_non_finite_parameters(c, alpha):
+    with pytest.raises(BadParams):
+        build_c1_crosscap(C1CrossCapParams(c=c, r0=0.9, eps=0.3, alpha=alpha))

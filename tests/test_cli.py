@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ CUBIC_RECORDS = [
     {"m": 3, "n": 0, "re": 2.0 / 3.0, "im": 0.0},
     {"m": 0, "n": 3, "re": 2.0 / 3.0, "im": 0.0},
 ]
+
+C1_AT_DEFAULTS = '{"kind": "c1", %s, "r0": 0.9, "eps": 0.3}'
 
 
 def read_csv(path, header):
@@ -118,7 +122,7 @@ class TestBlowup:
             radii = np.linspace(piece.rho_in, piece.rho_out, 16)
             theta = 2.0 * np.pi * np.arange(32) / 32
             nus = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-            values = [nus, piece.xi_expr.eval(nus), piece.eta_expr.eval(nus),
+            values = [nus, piece.xi_expr.eval(nus), piece.eta.eval(nus),
                       piece.defect_field().eval(nus)]
             want.append(np.column_stack([part for v in values for part in (v.real, v.imag)]))
         assert np.array_equal(got, np.vstack(want))
@@ -138,11 +142,19 @@ class TestBlowup:
             assert (piece["certificate"], piece["root_count"], piece["argmin_im"]) == ("sturm", 0, 0.0)
 
     # at the defaults R0 = 0.9, eps = 0.3, 256 radii: c = 0.5, 9.5, 12 and 50
-    # put two circles of complex points on the outer piece (one for c = 0.5)
-    @pytest.mark.parametrize("c, roots", [(0.5, 1), (5.0, 0), (9.5, 2), (12.0, 2), (50.0, 2)])
-    def test_c1_verdict_at_defaults(self, c, roots, tmp_path):
+    # put two circles of complex points on the outer piece (one for c = 0.5);
+    # alpha = e^{i angle} scales eta and moves none of them
+    @pytest.mark.parametrize(
+        "c, angle, roots",
+        [(0.5, 0.0, 1), (5.0, 0.0, 0), (9.5, 0.0, 2), (12.0, 0.0, 2), (50.0, 0.0, 2),
+         (5.0, math.pi / 4, 0), (12.0, math.pi / 4, 2), (5.0, math.pi / 3, 0), (12.0, math.pi / 3, 2)],
+    )
+    def test_c1_verdict_at_defaults(self, c, angle, roots, tmp_path):
+        alpha = cmath.exp(1j * angle)
+        params = {"kind": "c1", "c": c, "r0": 0.9, "eps": 0.3,
+                  "alpha_re": alpha.real, "alpha_im": alpha.imag}
         path = tmp_path / "params.json"
-        path.write_text(json.dumps({"kind": "c1", "c": c, "r0": 0.9, "eps": 0.3}))
+        path.write_text(json.dumps(params))
         out = tmp_path / "blowup.json"
         assert main(["blowup", str(path), "--out", str(out)]) == 0
         cert = json.loads(out.read_text())["certification"]
@@ -289,6 +301,16 @@ class TestErrors:
             ("blowup", '{"kind": "c2"}', [], "need r0 or r0_sq"),
             ("blowup", '{"kind": "c1", "c": 5.0, "eps": 0.3}', [], "need r0 or r0_sq"),
             ("blowup", '{"kind": "c2", "r0": 0.9}', ["--tol", "nan"], "seam tolerance"),
+            # c * (1 - nu nubar)^2 has the coefficient -2e308 = -inf
+            ("blowup", C1_AT_DEFAULTS % '"c": 1e308', [], "chart coefficients must be finite"),
+            ("blowup", C1_AT_DEFAULTS % '"c": Infinity', [], "finite c"),
+            (
+                "blowup",
+                C1_AT_DEFAULTS % '"c": 5.0, "alpha_re": Infinity',
+                [],
+                "finite nonzero alpha",
+            ),
+            ("blowup", C1_AT_DEFAULTS % '"c": [1]', [], "'c' must be a number"),
             ("reconstruct", json.dumps(CUBIC_RECORDS), ["--grid", "0x5"], "below the 2x3"),
             (
                 "blowup",
@@ -309,6 +331,10 @@ class TestErrors:
             "c2-missing-r0",
             "c1-missing-r0",
             "nan-tol",
+            "overflowing-c",
+            "inf-c",
+            "inf-alpha",
+            "list-c",
             "zero-grid-rows",
             "c2-inner-radius",
         ],
