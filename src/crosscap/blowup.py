@@ -528,20 +528,11 @@ def build_c2_crosscap(r0, inner_radius=0.6):
     consts = c2_constants(r0)
     if not (INNER_RADIUS_FLOOR < inner_radius < r0):
         raise BadParams("inner radius must satisfy 3^(-1/2) < inner_radius < R0")
-    inner = _c2_inner_profile()
-    # re-express Q(t) in the surface variables: t = 1 - nu nubar
-    inner_field = MonomialField.zero()
-    tk = ONE
-    by_power = {}
-    for (k, _), coeff in inner.terms().items():
-        by_power[k] = coeff
-    for k in range(max(by_power) + 1):
-        if k in by_power:
-            inner_field = inner_field + by_power[k] * tk
-        tk = tk * T
+    # Q(t) of _c2_inner_profile in the surface variable t = T = 1 - nu nubar
+    base = ONE + T * T * (ONE - T)
     outer = consts.a * ONE + consts.b * T + consts.c * (T * T)
     return _profile_surface(
-        [(inner_radius, r0, inner_field), (r0, 1.0, outer)]
+        [(inner_radius, r0, base * base * T * T), (r0, 1.0, outer)]
     )
 
 
@@ -616,6 +607,4 @@ def seam_report(S, order=2, tol=1e-9):
 def simple_crosscap_surface(rho_in=INNER_RADIUS_FLOOR):
     """One-piece surface carrying the bare cross-cap embedding
     xi = (1 - nu nubar) nu, eta = nubar^2 on [rho_in, 1]."""
-    return ParamSurface(
-        [ParamPiece(rho_in=rho_in, rho_out=1.0, xi_expr=T * NU, eta_expr=NUBAR2)]
-    )
+    return _profile_surface([(rho_in, 1.0, ONE)])

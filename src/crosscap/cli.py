@@ -18,6 +18,7 @@ trips bit-exactly.  All outputs are ASCII with stable key order.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -110,13 +111,32 @@ def _complex_point_payload(rep):
     }
 
 
+def _real(value, name):
+    """``value`` as a float; BadParams unless it is a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadParams(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _number(params, key, default=None):
     """``params[key]`` (or ``default`` when absent) as a float; BadParams
     unless it is a JSON number."""
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadParams(f"cross-cap parameter {key!r} must be a number, got {value!r}")
-    return float(value)
+    return _real(params.get(key, default), f"cross-cap parameter {key!r}")
+
+
+def _finite(value, name):
+    """``value`` as a float; BadParams unless it is a finite JSON number."""
+    number = _real(value, name)
+    if not math.isfinite(number):
+        raise BadParams(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def _integer(value, name):
+    """``value`` itself; BadParams unless it is a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _crosscap_from_params(params):
@@ -267,10 +287,16 @@ def cmd_ruled(args):
     params = _load_json(args.input)
     surf, _ = _crosscap_from_params(params)
     radii = params["radii"]
+    if not isinstance(radii, list):
+        raise BadParams(f"'radii' must be a list of numbers, got {radii!r}")
+    radii = [_finite(radius, "each of 'radii'") for radius in radii]
     t_values = np.linspace(
-        params.get("t_min", -2.0), params.get("t_max", 2.0), params.get("t_n", 9)
+        _finite(params.get("t_min", -2.0), "'t_min'"),
+        _finite(params.get("t_max", 2.0), "'t_max'"),
+        _integer(params.get("t_n", 9), "'t_n'"),
     )
-    meshes = eu.ruled_family(surf, radii, t_values, angular_n=params.get("angular_n", 64))
+    angular_n = _integer(params.get("angular_n", 64), "'angular_n'")
+    meshes = eu.ruled_family(surf, radii, t_values, angular_n=angular_n)
     exporter = eu.export_obj if args.format == "obj" else eu.export_csv
     suffix = "obj" if args.format == "obj" else "csv"
     if not args.out:
@@ -304,7 +330,10 @@ def cmd_ledger(args):
 
 
 def cmd_tensor_probe(args):
-    line = ls.OrientedLine(complex(args.xi), complex(args.eta))
+    xi, eta = complex(args.xi), complex(args.eta)
+    if not (cmath.isfinite(xi) and cmath.isfinite(eta)):
+        raise BadParams(f"--xi and --eta must be finite, got {args.xi!r} and {args.eta!r}")
+    line = ls.OrientedLine(xi, eta)
     omega = ls.omega_matrix(line)
     metric = ls.metric_matrix(line)
     payload = {

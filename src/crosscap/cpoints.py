@@ -175,19 +175,19 @@ def _disc_grid(center, radius, grid_n):
     return center + ax[None, :] + 1j * ax[:, None], float(ax[1] - ax[0])
 
 
-def _isolated_zeros(field, jacobian, center, radius, grid_n, tol, accept, max_iter, values=None):
-    """Isolated zeros of a planar field in a disc, each with a winding-loop radius.
+def _isolated_zeros(W, center, radius, grid_n):
+    """Isolated zeros of dbar F (the field ``W``) in a disc, each with a
+    winding-loop radius: the complex points of a section, at which
+    ``euclid.principal_analysis`` also locates umbilics.
 
-    ``field(pts)`` gives the field as complex values and ``jacobian(pts)`` its
-    derivatives along x1 and x2; ``values`` may hold the field already
-    evaluated on ``_disc_grid``.  Cells of the grid where both the real and
-    the imaginary part change sign are seeded from their corner of least
-    modulus, and one array Newton iteration runs every seed.  A seed is
-    dropped when its Jacobian is singular or an iterate leaves the disc
-    widened by one grid step, so no evaluation leaves the chart; it converges
-    when the modulus falls below ``tol``, or below ``accept`` after
-    ``max_iter`` steps.  Roots closer than half a grid step merge into the
-    one from the better seed.
+    Cells of the ``_disc_grid`` lattice where both the real and the imaginary
+    part of W change sign are seeded from their corner of least modulus, and
+    one array Newton iteration with the exact Jacobian runs every seed.  A
+    seed is dropped when its Jacobian is singular, when an iterate leaves the
+    disc widened by one grid step, so that no evaluation leaves the chart, or
+    when |W| is not below ``NEWTON_TOL`` after ``NEWTON_MAX_ITER`` steps.
+    Roots closer than half a grid step merge into the one from the better
+    seed.
 
     Returns ``(zero, loop_radius)`` for the zeros in the closed disc, nearest
     the center first.  The loop radius is half the distance to the nearest
@@ -195,8 +195,7 @@ def _isolated_zeros(field, jacobian, center, radius, grid_n, tol, accept, max_it
     step.
     """
     grid, step = _disc_grid(center, radius, grid_n)
-    if values is None:
-        values = field(grid)
+    values = W.eval(grid)
     mag = np.abs(values)
     i, j = np.nonzero(_sign_change_cells(values.real) & _sign_change_cells(values.imag))
     corner = np.argmin([mag[i, j], mag[i, j + 1], mag[i + 1, j], mag[i + 1, j + 1]], axis=0)
@@ -209,15 +208,17 @@ def _isolated_zeros(field, jacobian, center, radius, grid_n, tol, accept, max_it
     rank = np.flatnonzero(np.abs(z - center) <= bound)
     z = z[rank]
 
+    Wxi, Wxibar = W.d_xi(), W.d_xibar()
     found = []
-    for it in range(max_iter + 1):
-        w = field(z)
-        done = np.abs(w) < (tol if it < max_iter else accept)
+    for it in range(NEWTON_MAX_ITER + 1):
+        w = W.eval(z)
+        done = np.abs(w) < NEWTON_TOL
         found.extend(zip(rank[done], z[done]))
         z, w, rank = z[~done], w[~done], rank[~done]
-        if it == max_iter or not z.size:
+        if it == NEWTON_MAX_ITER or not z.size:
             break
-        dx, dy = jacobian(z)
+        dz, dzb = Wxi.eval(z), Wxibar.eval(z)
+        dx, dy = dz + dzb, 1j * (dz - dzb)
         det = dx.real * dy.imag - dy.real * dx.imag
         # a singular Jacobian gives a non-finite iterate, which the disc test drops
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,11 +247,10 @@ def _isolated_zeros(field, jacobian, center, radius, grid_n, tol, accept, max_it
 def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     """Locate and classify the zeros of dbar F inside a disc.
 
-    ``_isolated_zeros`` finds each zero, using the exact Jacobian of dbar F,
-    and the index comes from a winding loop of half the distance to the
-    nearest other zero.  Raises ``DegenerateZeroCurve`` when the zeros are
-    not isolated (a vanishing field, or winding loops that cannot avoid
-    zeros).
+    ``_isolated_zeros`` finds each zero, and the index comes from a winding
+    loop of half the distance to the nearest other zero.  Raises
+    ``DegenerateZeroCurve`` when the zeros are not isolated (a vanishing
+    field, or winding loops that cannot avoid zeros).
     """
     require_radius(radius, "disc radius")
     if grid_n < 16:
@@ -258,17 +258,8 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     W = F.F.d_xibar()
     if not W.num:
         raise DegenerateZeroCurve("dbar F vanishes identically on the disc")
-    Wxi, Wxibar = W.d_xi(), W.d_xibar()
-
-    def jacobian(pts):
-        dz, dzb = Wxi.eval(pts), Wxibar.eval(pts)
-        return dz + dzb, 1j * (dz - dzb)
-
     reports = []
-    for z, loop_radius in _isolated_zeros(
-        W.eval, jacobian, center, radius, grid_n,
-        tol=NEWTON_TOL, accept=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-    ):
+    for z, loop_radius in _isolated_zeros(W, center, radius, grid_n):
         try:
             index, used = _index_with_radius(F, z, loop_radius)
         except (VanishingOnLoop, UnresolvedWinding) as exc:

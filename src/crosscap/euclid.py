@@ -11,11 +11,13 @@ a support pair (F, r) the mesh x(xi) = point(xi, F(xi), r(xi) + C) satisfies
 x . U = r + C and is orthogonal to its lines, and changing C translates every
 vertex by (Delta C) U(xi) (parallel surfaces).
 
-Umbilic analysis computes the first and second fundamental forms exactly
-(rational fields in xi and xibar, with the sphere direction U as the unit
-normal), takes the traceless part of the shape operator in an orthonormal
-tangent frame, and winds its complex component around each isolated zero to
-obtain the half-integer index of the principal foliation.
+Umbilics are located at the zeros of dbar F, the complex points of the
+section, found by the zero finder of ``cpoints``.  The shape operator, built
+exactly from the first and second fundamental forms (rational fields in xi
+and xibar, with the sphere direction U as the unit normal), confirms each
+one: its traceless part p + i q in an orthonormal tangent frame must vanish
+there, and the winding of p + i q, halved, is the index of the principal
+foliation.
 """
 
 from dataclasses import dataclass
@@ -28,12 +30,7 @@ from .errors import EmptyMesh, NotImmersed
 from .linespace import direction_vector, line_to_vectors, vectors_to_line
 from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, require_radius, winding_of
 
-# Calibrated once on the cubic support example (umbilic of index -1/2):
-# the winding of the traceless component equals twice the foliation index.
-UMBILIC_WINDING_SIGN = 1
-
 ORTHOGONALITY_STEP = 1e-3      # chart step of support_property_check's differences
-JACOBIAN_STEP = 1e-6           # chart step of principal_analysis's Jacobian
 # principal_analysis, relative to the shape-operator scale: a defect at or below
 # FLAT_DEFECT_TOL everywhere means totally umbilic, and a zero whose defect
 # exceeds UMBILIC_DEFECT_TOL is no umbilic.
@@ -264,11 +261,10 @@ class _ShapeOperatorField:
 def principal_analysis(F, r, C, disc_radius=0.6, grid_n=41):
     """Locate isolated umbilics of the reconstructed surface and their indices.
 
-    Works on the traceless part of the shape operator expressed in an
-    orthonormal tangent frame: umbilics are the zeros of its complex
-    component p + i q, located by the zero finder of ``cpoints`` with a
-    five-point Jacobian, and the half-integer index is the calibrated winding
-    of p + i q halved.
+    Umbilics are located at the zeros of dbar F (``cpoints._isolated_zeros``)
+    and confirmed and indexed on the traceless shape operator p + i q: a zero
+    whose defect |p + i q| exceeds ``UMBILIC_DEFECT_TOL`` is no umbilic, and
+    the half-integer index is the winding of p + i q halved.
     """
     require_radius(disc_radius, "disc radius")
     shape = _ShapeOperatorField(F, r, C)
@@ -288,17 +284,7 @@ def principal_analysis(F, r, C, disc_radius=0.6, grid_n=41):
         pv, qv, _, _ = shape.evaluate(pts)
         return pv + 1j * qv
 
-    def jacobian(pts):
-        h = JACOBIAN_STEP
-        xp, xm, yp, ym = np.split(
-            traceless(np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])), 4
-        )
-        return (xp - xm) / (2 * h), (yp - ym) / (2 * h)
-
-    zeros = _isolated_zeros(
-        traceless, jacobian, 0j, disc_radius, grid_n,
-        tol=1e-11, accept=1e-9, max_iter=40, values=p + 1j * q,
-    )
+    zeros = _isolated_zeros(F.F.d_xibar(), 0j, disc_radius, grid_n)
     _, _, defects, _ = shape.evaluate(np.array([z for z, _ in zeros], dtype=complex))
     umbilics = []
     for (z, loop_radius), dv in zip(zeros, defects):
@@ -309,7 +295,7 @@ def principal_analysis(F, r, C, disc_radius=0.6, grid_n=41):
             UmbilicReport(
                 location=z,
                 winding=w,
-                index=Fraction(UMBILIC_WINDING_SIGN * w, 2),
+                index=Fraction(w, 2),
                 defect=float(dv),
                 loop_radius=loop_radius,
             )

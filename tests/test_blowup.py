@@ -3,6 +3,7 @@ import pytest
 
 from crosscap.blowup import (
     C1CrossCapParams,
+    _c2_inner_profile,
     build_c1_crosscap,
     build_c2_crosscap,
     c1_matching_constants,
@@ -13,9 +14,12 @@ from crosscap.blowup import (
     seam_report,
     simple_crosscap_surface,
 )
-from crosscap.cpoints import surface_defect
+from crosscap.cpoints import ParamPiece, surface_defect
 from crosscap.errors import BadParams
 from crosscap.wirtinger import MonomialField
+
+ONE = MonomialField.constant(1.0)
+T = ONE - MonomialField({(1, 1): 1.0})    # t = 1 - nu nubar
 
 
 def printed_bracket_coefficients(c):
@@ -245,6 +249,19 @@ class TestC2CrossCap:
         assert np.max(np.abs(outer.xi_expr.eval(boundary))) < 1e-15
         assert np.max(np.abs(outer.eta_expr.eval(boundary) - outer.eta_expr.eval(-boundary))) == 0.0
 
+    @pytest.mark.parametrize("r0", [np.sqrt(0.8), np.sqrt(0.9), np.sqrt(0.95), 0.62, 0.99])
+    def test_inner_eta_is_q_re_expressed_term_by_term(self, r0):
+        # Q(t) = sum q_k t^k summed in t = 1 - nu nubar one power at a time
+        q = {k: coeff for (k, _), coeff in _c2_inner_profile().terms().items()}
+        inner = MonomialField.zero()
+        tk = ONE
+        for k in range(max(q) + 1):
+            if k in q:
+                inner = inner + q[k] * tk
+            tk = tk * T
+        eta = build_c2_crosscap(r0).pieces[0].eta_expr
+        assert eta.terms() == (inner * MonomialField.monomial(0, 2)).terms()
+
     def test_totally_real_on_grid(self):
         surf = build_c2_crosscap(np.sqrt(0.9))
         rep = certify_totally_real(surf, radial_n=256, angular_n=64, min_mag=1e-9)
@@ -258,6 +275,16 @@ def simple_map(nu):
 
 
 class TestSimpleCrossCap:
+    @pytest.mark.parametrize("rho_in", [3 ** -0.5, 0.8])
+    def test_piece_is_the_bare_embedding(self, rho_in):
+        bare = ParamPiece(
+            rho_in=rho_in,
+            rho_out=1.0,
+            xi_expr=T * MonomialField.monomial(1, 0),
+            eta_expr=MonomialField.monomial(0, 2),
+        )
+        assert simple_crosscap_surface(rho_in).pieces == [bare]
+
     def test_unit_boundary_point(self):
         assert simple_map(1.0) == (0.0, 1.0)
 

@@ -252,6 +252,16 @@ class TestTensorProbe:
         assert payload["signature"] == [2, 2]
 
 
+    @pytest.mark.parametrize(
+        "extra", [["--xi", "nan"], ["--eta", "inf"], ["--xi", "1+nanj"]], ids=["xi", "eta", "imag"]
+    )
+    def test_non_finite_tensor_probe_point(self, extra, capsys):
+        assert main(["tensor-probe", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+
 class TestVerifyPaper:
     def test_exit_code_and_discrepancies(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -318,6 +328,15 @@ class TestErrors:
                 [],
                 "inner radius must satisfy",
             ),
+            ("ruled", '{"kind": "simple", "radii": [0.8], "t_min": NaN}', [], "must be finite"),
+            ("ruled", '{"kind": "simple", "radii": [0.8], "t_n": 2.5}', [], "must be an integer"),
+            ("ruled", '{"kind": "simple", "radii": ["a"]}', [], "must be a number"),
+            (
+                "ruled",
+                '{"kind": "simple", "radii": [0.8], "angular_n": true}',
+                [],
+                "must be an integer",
+            ),
         ],
         ids=[
             "constant-section",
@@ -337,6 +356,10 @@ class TestErrors:
             "list-c",
             "zero-grid-rows",
             "c2-inner-radius",
+            "ruled-nan-t-min",
+            "ruled-fractional-t-n",
+            "ruled-string-radius",
+            "ruled-bool-angular-n",
         ],
     )
     def test_invalid_input_is_one_line_exit_one(

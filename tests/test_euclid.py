@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscap.blowup import simple_crosscap_surface
-from crosscap.cpoints import find_complex_points
+from crosscap.cpoints import _disc_grid, find_complex_points
 from crosscap.errors import EmptyMesh
 from crosscap.euclid import (
     MeshR3,
+    _ShapeOperatorField,
     export_csv,
     export_obj,
     line_distance,
@@ -20,7 +23,7 @@ from crosscap.euclid import (
 )
 from crosscap.linespace import OrientedLine, direction_vector
 from crosscap.sections import SupportFunction, section_from_support
-from crosscap.wirtinger import MonomialField
+from crosscap.wirtinger import Loop, MonomialField, winding_of
 
 CUBIC = SupportFunction(MonomialField({(3, 0): 2.0 / 3.0, (0, 3): 2.0 / 3.0}))
 QUADRATIC = SupportFunction(MonomialField({(1, 1): 1.0}))
@@ -207,8 +210,6 @@ class TestPrincipalAnalysis:
             sec = section_from_support(r)
             cps = find_complex_points(sec, 0j, 0.45, grid_n=64)
             rep = principal_analysis(sec, r, 3.0, disc_radius=0.45, grid_n=41)
-            umbilics = {round(u.location.real, 5) + 1j * round(u.location.imag, 5): u
-                        for u in rep.umbilics}
             for cp in cps:
                 match = [
                     u
@@ -219,6 +220,31 @@ class TestPrincipalAnalysis:
                 assert match[0].index == Fraction(cp.index, 2)
                 checked += 1
         assert checked >= 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(3, 6),
+        C=st.sampled_from([3.0, 8.0]),
+    )
+    def test_traceless_part_is_phi_times_dbar_F(self, seed, degree, C):
+        # p + i q = Phi dbar F with Phi nowhere zero and of winding 0, so the
+        # winding of p + i q about an umbilic is that of dbar F about the
+        # complex point, and the umbilic index is half the complex index
+        r = random_real_support(np.random.default_rng(seed), max_degree=degree, scale=0.1)
+        sec = section_from_support(r)
+        shape = _ShapeOperatorField(sec, r, C)
+        dbar_F = sec.F.d_xibar()
+
+        def phi(pts):
+            p, q, _, _ = shape.evaluate(pts)
+            return (p + 1j * q) / dbar_F.eval(pts)
+
+        for radius in (0.1, 0.3, 0.45):
+            assert winding_of(phi, Loop(0j, radius)) == 0
+        zz, _ = _disc_grid(0j, 0.45, 41)
+        # 400 such supports gave min |Phi| = 0.0128 on this grid
+        assert np.min(np.abs(phi(zz[np.abs(zz) <= 0.45]))) > 0.005
 
     def test_collapsed_surface_not_immersed(self):
         # r = 0 with C = 0 sends every line to the origin
