@@ -31,9 +31,9 @@ from . import euclid as eu
 from . import ledger as lg
 from . import linespace as ls
 from . import sections as se
-from .errors import BadParams, CrosscapError, EmptyMesh
+from .errors import BadParams, ChartDomainError, CrosscapError, EmptyMesh
 from .verify import report_to_json, run_verification
-from .wirtinger import MonomialField, RationalField
+from .wirtinger import CHART_BOUND, MonomialField, RationalField
 
 
 def _emit(text, out_path):
@@ -290,6 +290,12 @@ def cmd_ruled(args):
     if not isinstance(radii, list):
         raise BadParams(f"'radii' must be a list of numbers, got {radii!r}")
     radii = [_finite(radius, "each of 'radii'") for radius in radii]
+    named = {}
+    for radius in radii:
+        name = f"{radius:g}"
+        if name in named:
+            raise BadParams(f"radii {named[name]!r} and {radius!r} both name the file _r{name}")
+        named[name] = radius
     t_values = np.linspace(
         _finite(params.get("t_min", -2.0), "'t_min'"),
         _finite(params.get("t_max", 2.0), "'t_max'"),
@@ -333,6 +339,10 @@ def cmd_tensor_probe(args):
     xi, eta = complex(args.xi), complex(args.eta)
     if not (cmath.isfinite(xi) and cmath.isfinite(eta)):
         raise BadParams(f"--xi and --eta must be finite, got {args.xi!r} and {args.eta!r}")
+    if abs(xi) > CHART_BOUND:
+        raise ChartDomainError(
+            f"|--xi| exceeds the chart bound {CHART_BOUND:g}; re-charting is unsupported"
+        )
     line = ls.OrientedLine(xi, eta)
     omega = ls.omega_matrix(line)
     metric = ls.metric_matrix(line)

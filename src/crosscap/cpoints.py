@@ -142,12 +142,12 @@ def section_complex_index(F, xi0, loop_radius):
     The loop shrinks by halves (up to 8 times) when dbar F vanishes on it;
     the umbilic index of the orthogonal surfaces is half the returned value.
     """
-    index, _ = _index_with_radius(F, xi0, loop_radius)
+    index, _ = _index_with_radius(F.F.d_xibar(), xi0, loop_radius)
     return index
 
 
-def _index_with_radius(F, xi0, loop_radius):
-    W = F.F.d_xibar()
+def _index_with_radius(W, xi0, loop_radius):
+    """Winding of dbar F (the field ``W``) and the loop radius that gave it."""
     radius = float(loop_radius)
     last = None
     for _ in range(MAX_SHRINKS + 1):
@@ -261,7 +261,7 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     reports = []
     for z, loop_radius in _isolated_zeros(W, center, radius, grid_n):
         try:
-            index, used = _index_with_radius(F, z, loop_radius)
+            index, used = _index_with_radius(W, z, loop_radius)
         except (VanishingOnLoop, UnresolvedWinding) as exc:
             raise DegenerateZeroCurve(
                 f"zero at {z} is not isolated: every winding loop meets more zeros"

@@ -12,7 +12,10 @@ denominator the chart geometry ever produces.
 
 The same classes double as generic bivariate polynomials via ``eval_pair``,
 where the second variable is evaluated independently instead of at the
-conjugate.
+conjugate.  Evaluation is Horner's scheme from a plan each field builds once
+and caches; every power of ``xi`` or ``xibar`` a Horner gap needs is computed
+once per call and shared.  The operations and their order are those of the
+plain Horner loop, so the values are bit-identical to it.
 
 Winding numbers of nonvanishing functions around circles are computed by
 summing principal-branch argument increments, refining the sampling until
@@ -43,6 +46,19 @@ def require_radius(radius, what):
         raise ValueError(f"{what} must be positive and finite, got {radius!r}")
 
 
+class _Powers(dict):
+    """``d -> base ** d``, each power computed on first use and then shared."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base):
+        self.base = base
+
+    def __missing__(self, d):
+        power = self[d] = self.base ** d
+        return power
+
+
 class MonomialField:
     """Finite sum of monomials ``c_mn xi^m xibar^n`` in canonical form.
 
@@ -51,7 +67,7 @@ class MonomialField:
     share between threads and across parallel grid sweeps.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms=None):
         clean = {}
@@ -64,6 +80,7 @@ class MonomialField:
             if c != 0:
                 clean[(m, n)] = clean.get((m, n), 0j) + c
         self._terms = {k: v for k, v in clean.items() if v != 0}
+        self._plan = None  # eval_pair's Horner plan, built on first use
 
     # -- constructors -------------------------------------------------
 
@@ -221,37 +238,56 @@ class MonomialField:
         """Evaluate treating the conjugate slot as the independent variable ``w``.
 
         Horner's scheme is applied in ``w`` inside each group of equal
-        xi-power and then in ``z`` across groups.
+        xi-power and then in ``z`` across groups.  The grouping is the
+        field's plan, built on the first call and cached (fields are
+        immutable); each power ``w ** d`` and ``z ** d`` a Horner gap needs
+        is computed once per call and shared by every gap of that size.  The
+        multiply and add sequence is the plain Horner loop's, so the result
+        is bit-identical to it.
         """
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         if not self._terms:
             return np.zeros(np.broadcast(z, w).shape, dtype=complex) if z.ndim or w.ndim else 0j
-        by_m = {}
-        for (m, n), c in self._terms.items():
-            by_m.setdefault(m, {})[n] = c
-        acc = 0j
-        prev_m = None
-        for m in sorted(by_m, reverse=True):
-            inner = 0j
-            ns = by_m[m]
-            prev_n = None
-            for n in sorted(ns, reverse=True):
-                if prev_n is None:
-                    inner = ns[n] + 0j
-                else:
-                    inner = inner * w ** (prev_n - n) + ns[n]
-                prev_n = n
-            if prev_n:
-                inner = inner * w ** prev_n
-            if prev_m is None:
-                acc = inner
-            else:
-                acc = acc * z ** (prev_m - m) + inner
-            prev_m = m
-        if prev_m:
-            acc = acc * z ** prev_m
+        if self._plan is None:
+            self._plan = self._horner_plan()
+        groups, m_last = self._plan
+        zp, wp = _Powers(z), _Powers(w)
+        acc = None
+        for m_gap, inner, steps, n_last in groups:
+            for gap, c in steps:
+                inner = inner * wp[gap] + c
+            if n_last:
+                inner = inner * wp[n_last]
+            acc = inner if acc is None else acc * zp[m_gap] + inner
+        if m_last:
+            acc = acc * zp[m_last]
         return acc
+
+    def _horner_plan(self):
+        """``(groups, m_last)`` for ``eval_pair``, in one pass over the sorted terms.
+
+        ``groups`` runs over the xi-powers m in decreasing order; each entry
+        is ``[m_gap, first, steps, n_last]``: the gap down from the previous
+        m (0 for the first group), the leading coefficient ``+ 0j``, the
+        ``(n_gap, coeff)`` Horner steps in decreasing n, and the trailing
+        xibar power.  ``m_last`` is the trailing xi power.
+        """
+        # Lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        # small length for reuse, and plans of short-lived fields filled
+        # those pools (about 1 MB more peak RSS on the sections benchmark).
+        terms = self._terms
+        groups = []
+        prev_m = None
+        for m, n in sorted(terms, reverse=True):
+            if m == prev_m:
+                group[2].append((group[3] - n, terms[m, n]))
+                group[3] = n
+            else:
+                group = [0 if prev_m is None else prev_m - m, terms[m, n] + 0j, [], n]
+                groups.append(group)
+                prev_m = m
+        return groups, prev_m
 
     # -- structure helpers -------------------------------------------------
 

@@ -337,6 +337,12 @@ class TestErrors:
                 [],
                 "must be an integer",
             ),
+            (
+                "ruled",
+                '{"kind": "simple", "radii": [0.8, 0.8000001]}',
+                [],
+                "radii 0.8 and 0.8000001 both name the file _r0.8",
+            ),
         ],
         ids=[
             "constant-section",
@@ -360,6 +366,7 @@ class TestErrors:
             "ruled-fractional-t-n",
             "ruled-string-radius",
             "ruled-bool-angular-n",
+            "ruled-colliding-radii",
         ],
     )
     def test_invalid_input_is_one_line_exit_one(
@@ -373,3 +380,12 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("xi", ["1e200", "-1000.5", "700+800j"])
+    def test_tensor_probe_beyond_chart_bound(self, xi, capsys):
+        # every field evaluation rejects these points; at 1e200 the line-space
+        # forms would underflow to all zeros with signature [0, 0]
+        assert main(["tensor-probe", "--xi", xi]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "chart bound" in err

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crosscap.errors import ChartDomainError, UnresolvedWinding, VanishingOnLoop
 from crosscap.wirtinger import (
@@ -115,6 +117,94 @@ class TestEval:
         f = RationalField((ONE + S) * XI, 2).reduced()
         assert f.den_power == 1
         assert f.num == XI
+
+
+def reference_eval_pair(terms, z, w):
+    """The Horner loop ``MonomialField.eval_pair`` ran before it cached a
+    plan and shared its powers, frozen as the bit-for-bit reference."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if not terms:
+        return np.zeros(np.broadcast(z, w).shape, dtype=complex) if z.ndim or w.ndim else 0j
+    by_m = {}
+    for (m, n), c in terms.items():
+        by_m.setdefault(m, {})[n] = c
+    acc = 0j
+    prev_m = None
+    for m in sorted(by_m, reverse=True):
+        inner = 0j
+        ns = by_m[m]
+        prev_n = None
+        for n in sorted(ns, reverse=True):
+            if prev_n is None:
+                inner = ns[n] + 0j
+            else:
+                inner = inner * w ** (prev_n - n) + ns[n]
+            prev_n = n
+        if prev_n:
+            inner = inner * w ** prev_n
+        if prev_m is None:
+            acc = inner
+        else:
+            acc = acc * z ** (prev_m - m) + inner
+        prev_m = m
+    if prev_m:
+        acc = acc * z ** prev_m
+    return acc
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+COEFFS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), COEFFS, max_size=12
+)
+
+
+class TestEvalPlan:
+    """``eval_pair`` from the cached plan matches the plain Horner loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(terms=TERMS, seed=st.integers(0, 2**32 - 1))
+    @example(terms={}, seed=0)  # the zero field
+    @example(terms={(0, 0): -0.0 + 2.5j}, seed=1)  # a constant field
+    @example(terms={(7, 5): 1.5 - 1j, (3, 2): -0.5, (0, 9): 2j}, seed=2)  # gaps > 1 in m and n
+    @example(terms={(4, 6): 1.0, (4, 3): 2.0, (1, 3): -1j}, seed=3)  # trailing xibar powers
+    def test_bit_identical_to_reference(self, terms, seed):
+        f = MonomialField(terms)
+        clean = f.terms()
+        rng = np.random.default_rng(seed)
+
+        def points(shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        z2 = points((3, 4))
+        pairs = [
+            (complex(points(())), complex(points(()))),
+            (np.asarray(points(())), np.asarray(points(()))),
+            (points(5), points(5)),
+            (z2, np.conj(z2)),
+            (points((3, 1)), points(4)),  # broadcast
+            (1.0, points((2, 3))),
+        ]
+        for _ in range(2):  # the second pass runs from the cached plan
+            for z, w in pairs:
+                assert same_bits(f.eval_pair(z, w), reference_eval_pair(clean, z, w))
+            for xi in (complex(z2[0, 0]), np.asarray(z2[1, 1]), z2[0], z2):
+                want = reference_eval_pair(clean, xi, np.conj(xi))
+                if np.ndim(xi) == 0:
+                    want = complex(want)
+                assert same_bits(f.eval(xi), want)
+
+    def test_equality_and_hash_ignore_the_plan(self):
+        terms = {(3, 1): 1.0 + 2j, (0, 2): -0.5, (1, 0): 4.0}
+        used, fresh = MonomialField(terms), MonomialField(terms)
+        used.eval(0.3 + 0.1j)
+        assert used._plan is not None and fresh._plan is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert len({used, fresh}) == 1
 
 
 class TestWinding:
