@@ -17,9 +17,12 @@ exactly from the first and second fundamental forms (rational fields in xi
 and xibar, with the sphere direction U as the unit normal), confirms each
 one: its traceless part p + i q in an orthonormal tangent frame must vanish
 there, and the winding of p + i q, halved, is the index of the principal
-foliation.
+foliation.  The derived fields are memoised on the exact section, support
+and constant of the last surface, so reconstructing a surface and then
+analysing it builds them once; equal inputs give bit-identical fields.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,15 +160,13 @@ def support_property_check(mesh, F, r, C):
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_fields(F, r, C):
-    """The three Euclidean coordinates of the reconstruction as rational fields."""
+def _coordinate_fields(N, p, R):
+    """The three Euclidean coordinates of the reconstruction as rational fields,
+    for the section N / (1 + xi xibar)^p and the support field R."""
     xi = MonomialField.xi()
     xibar = MonomialField.xibar()
     s = MonomialField({(1, 1): 1.0})
-    p = F.den_power
-    N = F.num
     Nb = N.conj()
-    R = r.r + MonomialField.constant(C)
     den = p + 2
     num12 = 2.0 * (N - Nb * xi * xi) + 2.0 * xi * ONE_PLUS_S ** (p + 1) * R
     num3 = -2.0 * (N * xibar + Nb * xi) + (MonomialField.constant(1.0) - s) * ONE_PLUS_S ** (
@@ -184,7 +185,8 @@ def _chart_derivs(f):
     return fx + fy, 1j * (fx - fy)
 
 
-def _unit_normal_fields():
+def _unit_normal_derivs():
+    """Chart derivatives of the three components of the unit normal U(xi)."""
     xi = MonomialField.xi()
     xibar = MonomialField.xibar()
     one = MonomialField.constant(1.0)
@@ -192,7 +194,27 @@ def _unit_normal_fields():
     U1 = RationalField(xi + xibar, 1)
     U2 = RationalField(-1j * (xi - xibar), 1)
     U3 = RationalField(one - s, 1)
-    return U1, U2, U3
+    return tuple(_chart_derivs(u) for u in (U1, U2, U3))
+
+
+# The unit normal is the sphere direction, the same for every surface.
+_NORMAL_DERIVS = _unit_normal_derivs()
+
+
+@functools.lru_cache(maxsize=1)
+def _tangent_fields(num, den_power, r, C):
+    """Chart derivatives of the coordinate fields of the surface with section
+    num / (1 + xi xibar)^den_power and support r + C.
+
+    Memoised on these exact inputs, so ``reconstruct_surface`` and then
+    ``principal_analysis`` on one surface build the fields once.  A hit is
+    bit-identical to a fresh build: equal fields have equal coefficients, the
+    field constructor turns signed zeros into +0.0, a zero C adds no term,
+    and no coefficient sum of the build depends on the term order of the
+    inputs.
+    """
+    coords = _coordinate_fields(num, den_power, r + MonomialField.constant(C))
+    return tuple(_chart_derivs(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -216,10 +238,8 @@ class _ShapeOperatorField:
     """Pointwise traceless shape-operator data for a support pair."""
 
     def __init__(self, F, r, C):
-        coords = _coordinate_fields(F.F, r, C)
-        normals = _unit_normal_fields()
-        self._tangent = [_chart_derivs(c) for c in coords]
-        self._normal_deriv = [_chart_derivs(u) for u in normals]
+        self._tangent = _tangent_fields(F.F.num, F.F.den_power, r.r, complex(C))
+        self._normal_deriv = _NORMAL_DERIVS
 
     def evaluate(self, zz):
         """Return (p, q, defect, det_I) arrays at the points ``zz``."""
@@ -367,23 +387,19 @@ def translate_line(line, w):
 
 
 def export_obj(mesh):
-    """Wavefront OBJ bytes: ``v`` lines then row-major quad faces, 1-based."""
+    """Wavefront OBJ bytes: ``v`` lines in ``%.9g`` then row-major quad faces, 1-based.
+
+    Each block is one ``%``-format over the flat vertex floats or the face
+    indices; ``%.9g`` formats a float exactly as ``format(x, ".9g")``.
+    """
     rows, cols = mesh.shape
     if rows < 2 or cols < 2:
         raise EmptyMesh("cannot export a mesh without faces")
-    lines = []
-    for i in range(rows):
-        for j in range(cols):
-            x, y, z = mesh.points[i, j]
-            lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
-    for i in range(rows - 1):
-        for j in range(cols - 1):
-            a = i * cols + j + 1
-            b = (i + 1) * cols + j + 1
-            c = (i + 1) * cols + j + 2
-            d = i * cols + j + 2
-            lines.append(f"f {a} {b} {c} {d}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    idx = np.arange(1, rows * cols + 1).reshape(rows, cols)
+    quads = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]], axis=-1)
+    verts = ("v %.9g %.9g %.9g\n" * (rows * cols)) % tuple(mesh.points.ravel().tolist())
+    faces = ("f %d %d %d %d\n" * ((rows - 1) * (cols - 1))) % tuple(quads.ravel().tolist())
+    return (verts + faces).encode("ascii")
 
 
 def csv_text(header, table):
@@ -394,9 +410,13 @@ def csv_text(header, table):
 
 
 def export_csv(mesh):
-    """CSV bytes with header ``u,v,x1,x2,x3`` in row-major vertex order."""
-    rows, cols = mesh.shape
-    table = np.column_stack(
-        [np.repeat(mesh.u_values, cols), np.tile(mesh.v_values, rows), mesh.points.reshape(-1, 3)]
-    )
-    return csv_text("u,v,x1,x2,x3", table).encode("ascii")
+    """CSV bytes with header ``u,v,x1,x2,x3`` in row-major vertex order.
+
+    The fields are those of ``csv_text``.  A u label repeats along its row
+    and a v label down its column, so each is formatted once; the line
+    template they make takes the vertex coordinates in one ``%r`` format.
+    """
+    u_labels = [f"{u!r}," for u in mesh.u_values.tolist()]
+    v_tails = [f"{v!r},%r,%r,%r\n" for v in mesh.v_values.tolist()]
+    template = "u,v,x1,x2,x3\n" + "".join([u + tail for u in u_labels for tail in v_tails])
+    return (template % tuple(mesh.points.ravel().tolist())).encode("ascii")

@@ -198,13 +198,14 @@ def _hyperbolic_example_umbilic(inp):
 @_check("lagrangian-omega-restriction", "hyperbolic-example:lagrangian-check", 0.0, 1e-10)
 def _lagrangian_omega_restriction(inp):
     F = inp.sec_cubic.F
+    F_xi, F_xibar = F.num.d_xi(), F.num.d_xibar()
     ax = np.linspace(-0.9, 0.9, 30)
     worst_omega = 0.0
     for re in ax:
         for im in ax:
             xi = complex(re, im)
-            fxi = F.num.d_xi().eval(xi)
-            fxibar = F.num.d_xibar().eval(xi)
+            fxi = F_xi.eval(xi)
+            fxibar = F_xibar.eval(xi)
             line = linespace.OrientedLine(xi, F.eval(xi))
             v = linespace.TangentVec(line, 1.0 + 0j, fxi + fxibar)
             w = linespace.TangentVec(line, 1j, 1j * fxi - 1j * fxibar)

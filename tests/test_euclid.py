@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from crosscap.errors import EmptyMesh
 from crosscap.euclid import (
     MeshR3,
     _ShapeOperatorField,
+    _tangent_fields,
     export_csv,
     export_obj,
     line_distance,
@@ -263,6 +265,81 @@ class TestPrincipalAnalysis:
         assert rep1.umbilics[0].index == rep2.umbilics[0].index
 
 
+def shifted_support(seed, shift=6.0):
+    """A random degree-5 support plus a constant, immersed on the 0.5 disc even at C = 0."""
+    r = random_real_support(np.random.default_rng(seed), max_degree=5)
+    return SupportFunction(r.r + MonomialField.constant(shift))
+
+
+class TestShapeOperatorMemo:
+    ZZ, _ = _disc_grid(0j, 0.5, 21)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _tangent_fields.cache_clear()
+        yield
+        _tangent_fields.cache_clear()
+
+    def built_fresh(self, sec, r, C):
+        """(p, q, defect, det_I) bytes from fields built with nothing memoised."""
+        _tangent_fields.cache_clear()
+        return self.evaluated(sec, r, C)
+
+    def evaluated(self, sec, r, C):
+        return [a.tobytes() for a in _ShapeOperatorField(sec, r, C).evaluate(self.ZZ)]
+
+    def test_same_call_twice_hits(self):
+        r = shifted_support(1)
+        sec = section_from_support(r)
+        first = self.evaluated(sec, r, 8.0)
+        second = self.evaluated(sec, r, 8.0)
+        assert _tangent_fields.cache_info().hits == 1
+        assert first == second == self.built_fresh(sec, r, 8.0)
+
+    @pytest.mark.parametrize("C_first, C_then", [(8.0, 3.0), (8, 8.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_constant_after_another(self, C_first, C_then):
+        r = shifted_support(2)
+        sec = section_from_support(r)
+        self.evaluated(sec, r, C_first)
+        assert self.evaluated(sec, r, C_then) == self.built_fresh(sec, r, C_then)
+
+    def test_equal_constants_share_an_entry(self):
+        r = shifted_support(3)
+        sec = section_from_support(r)
+        for C in (8, 8.0, np.float64(8.0), 0.0, -0.0):
+            self.evaluated(sec, r, C)
+        assert _tangent_fields.cache_info().hits == 3
+
+    def test_other_support_with_the_same_section(self):
+        r1, r2 = shifted_support(4), shifted_support(5)
+        sec = section_from_support(r1)
+        self.evaluated(sec, r1, 8.0)
+        then = self.evaluated(sec, r2, 8.0)
+        assert _tangent_fields.cache_info().hits == 0
+        assert then == self.built_fresh(sec, r2, 8.0)
+
+    def test_equal_support_in_another_term_order(self):
+        r = shifted_support(6)
+        reordered = SupportFunction(MonomialField(dict(reversed(list(r.r.terms().items())))))
+        sec = section_from_support(r)
+        self.evaluated(sec, r, 8.0)
+        hit = self.evaluated(sec, reordered, 8.0)
+        assert _tangent_fields.cache_info().hits == 1
+        assert hit == self.built_fresh(sec, reordered, 8.0)
+
+    def test_no_stale_entry_between_reconstruction_and_analysis(self):
+        r = shifted_support(7)
+        sec = section_from_support(r)
+        mesh = reconstruct_surface(sec, r, 8, disc_radius=0.5, grid=(6, 12), attach_defect=True)
+        report = principal_analysis(sec, r, 3, disc_radius=0.5, grid_n=21)
+        _tangent_fields.cache_clear()
+        assert repr(report) == repr(principal_analysis(sec, r, 3, disc_radius=0.5, grid_n=21))
+        _tangent_fields.cache_clear()
+        fresh = reconstruct_surface(sec, r, 8, disc_radius=0.5, grid=(6, 12), attach_defect=True)
+        defect = mesh.scalars["umbilic_defect"]
+        assert defect.tobytes() == fresh.scalars["umbilic_defect"].tobytes()
+
+
 class TestRuledFamily:
     def test_boundary_ruling_doubly_covers(self):
         surf = simple_crosscap_surface()
@@ -346,6 +423,39 @@ def _distinct_lines(lines, tol=1e-9):
     return distinct
 
 
+# -0.0, the smallest subnormal, +-1e300, integer-valued floats and 1e16
+EXPORT_SPECIALS = (-0.0, 5e-324, 1e300, -1e300, 3.0, -12.0, 1e16, 0.1)
+
+
+def loop_export_obj(mesh):
+    """The OBJ exporter as one f-string per line, kept as the reference."""
+    rows, cols = mesh.shape
+    lines = []
+    for i in range(rows):
+        for j in range(cols):
+            x, y, z = mesh.points[i, j]
+            lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a = i * cols + j + 1
+            b = (i + 1) * cols + j + 1
+            c = (i + 1) * cols + j + 2
+            d = i * cols + j + 2
+            lines.append(f"f {a} {b} {c} {d}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def loop_export_csv(mesh):
+    """The CSV exporter as ``repr`` of every field of the full table, kept as
+    the reference."""
+    rows, cols = mesh.shape
+    table = np.column_stack(
+        [np.repeat(mesh.u_values, cols), np.tile(mesh.v_values, rows), mesh.points.reshape(-1, 3)]
+    )
+    lines = ["u,v,x1,x2,x3"] + [",".join(map(repr, row)) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 class TestExporters:
     def make_mesh(self, rows=2, cols=3):
         u = np.arange(rows, dtype=float)
@@ -393,11 +503,40 @@ class TestExporters:
             MeshR3(np.zeros((0, 0, 3)), np.zeros((0, 0)), [], [])
         with pytest.raises(EmptyMesh):
             MeshR3(np.zeros((1, 3, 3)), np.zeros((1, 3)), [0.0], [0.0, 1.0, 2.0])
+        with pytest.raises(EmptyMesh):
+            MeshR3(np.zeros((2, 2, 3)), np.zeros((2, 2)), [0.0, 1.0], [0.0, 1.0])
+        # below 2x2 faces: export_obj keeps its own guard for anything shaped like a mesh
+        with pytest.raises(EmptyMesh):
+            export_obj(SimpleNamespace(shape=(1, 4), points=np.zeros((1, 4, 3))))
 
     def test_duplicate_consecutive_vertices_rejected(self):
         pts = np.zeros((2, 3, 3))
         with pytest.raises(ValueError):
             MeshR3(pts, np.zeros((2, 3)), [0, 1], [0, 1, 2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(2, 7), cols=st.integers(3, 9))
+    def test_exporters_match_the_loop_exporters_byte_for_byte(self, data, rows, cols):
+        floats = st.one_of(st.sampled_from(EXPORT_SPECIALS), st.floats())
+        coords = data.draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+        scale = data.draw(st.sampled_from([1.0, -1.0, 1e16, 1e300]))
+        pts = np.empty((rows, cols, 3))
+        # x1 is distinct per vertex, so no two consecutive vertices coincide
+        pts[..., 0] = scale * np.arange(1, rows * cols + 1).reshape(rows, cols)
+        pts[..., 1:] = np.array(coords).reshape(rows, cols, 2)
+        u = data.draw(st.lists(floats, min_size=rows, max_size=rows))
+        v = data.draw(st.lists(floats, min_size=cols, max_size=cols))
+        with np.errstate(all="ignore"):  # the duplicate-vertex check overflows at 1e300
+            mesh = MeshR3(pts, np.zeros((rows, cols), complex), u, v)
+        assert export_obj(mesh) == loop_export_obj(mesh)
+        assert export_csv(mesh) == loop_export_csv(mesh)
+
+    @pytest.mark.parametrize("grid", [(2, 3), (24, 48), (17, 5)])
+    def test_reconstructed_meshes_match_the_loop_exporters(self, grid):
+        r = random_real_support(np.random.default_rng(grid[0]), max_degree=5)
+        mesh = reconstruct_surface(section_from_support(r), r, 8.0, disc_radius=0.7, grid=grid)
+        assert export_obj(mesh) == loop_export_obj(mesh)
+        assert export_csv(mesh) == loop_export_csv(mesh)
 
 
 class TestLineDistance:
