@@ -15,6 +15,9 @@ verify-paper  the claims regression suite (exit 0 = all pass, 2 = known
 Inputs are JSON files; a polynomial field is a list of ``{m, n, re, im}``
 records (optionally wrapped as ``{"terms": [...], "real": true}``) and round
 trips bit-exactly.  All outputs are ASCII with stable key order.
+
+Each subcommand imports the library modules (and numpy) it runs inside its
+own function, so a process that runs one subcommand loads only those.
 """
 
 import argparse
@@ -23,17 +26,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import blowup as bl
-from . import cpoints as cp
-from . import euclid as eu
-from . import ledger as lg
-from . import linespace as ls
-from . import sections as se
 from .errors import BadParams, ChartDomainError, CrosscapError, EmptyMesh
-from .verify import report_to_json, run_verification
-from .wirtinger import CHART_BOUND, MonomialField, RationalField
 
 
 def _emit(text, out_path):
@@ -62,6 +55,8 @@ def _load_json(path):
 
 
 def _field_from_payload(payload):
+    from .wirtinger import MonomialField
+
     if isinstance(payload, dict) and "terms" in payload:
         field = MonomialField.from_records(payload["terms"])
         if payload.get("real") and not field.is_real_symmetric():
@@ -71,10 +66,15 @@ def _field_from_payload(payload):
 
 
 def _support_from_file(path):
+    from . import sections as se
+
     return se.SupportFunction(_field_from_payload(_load_json(path)))
 
 
 def _section_from_file(path):
+    from . import sections as se
+    from .wirtinger import RationalField
+
     payload = _load_json(path)
     if isinstance(payload, dict) and "support" in payload:
         return se.section_from_support(
@@ -90,6 +90,8 @@ def _section_from_file(path):
 
 
 def _parse_grid(text, default):
+    from . import euclid as eu
+
     if not text:
         return default
     rows, _, cols = text.partition("x")
@@ -142,6 +144,10 @@ def _integer(value, name):
 def _crosscap_from_params(params):
     """The cross-cap surface, with the C1 parameters or the C2 seam constants
     (None for the simple cap)."""
+    from . import blowup as bl
+
+    if not isinstance(params, dict):
+        raise BadParams(f"cross-cap parameters must be a JSON object, got {params!r}")
     kind = params.get("kind", "c1")
     r0 = None
     if params.get("r0") is not None:
@@ -167,6 +173,11 @@ def _crosscap_from_params(params):
 
 
 def cmd_section(args):
+    import numpy as np
+
+    from . import cpoints as cp
+    from . import sections as se
+
     support = _support_from_file(args.input)
     sec = se.section_from_support(support)
     reports = cp.find_complex_points(sec, 0j, args.disc, grid_n=args.grid_n)
@@ -187,6 +198,8 @@ def cmd_section(args):
 
 
 def cmd_cpoints(args):
+    from . import cpoints as cp
+
     sec = _section_from_file(args.input)
     reports = cp.find_complex_points(sec, 0j, args.disc, grid_n=args.grid_n)
     payload = [_complex_point_payload(r) for r in reports]
@@ -194,7 +207,18 @@ def cmd_cpoints(args):
     return 0
 
 
+def _csv_text(header, table):
+    """CSV text of a 2-D float table; every field is the shortest decimal that
+    parses back to its float bit for bit."""
+    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_blowup(args):
+    import numpy as np
+
+    from . import blowup as bl
+
     params = _load_json(args.input)
     surf, p = _crosscap_from_params(params)
     seams = bl.seam_report(surf, order=2, tol=args.tol)
@@ -267,13 +291,16 @@ def cmd_blowup(args):
             )
         with open(args.samples_out, "w", encoding="ascii") as fh:
             fh.write(
-                eu.csv_text("nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im", np.vstack(blocks))
+                _csv_text("nu_re,nu_im,xi_re,xi_im,eta_re,eta_im,w_re,w_im", np.vstack(blocks))
             )
     _emit(_dumps(payload), args.out)
     return 0
 
 
 def cmd_reconstruct(args):
+    from . import euclid as eu
+    from . import sections as se
+
     support = _support_from_file(args.input)
     sec = se.section_from_support(support)
     grid = _parse_grid(args.grid, (24, 48))
@@ -284,6 +311,12 @@ def cmd_reconstruct(args):
 
 
 def cmd_ruled(args):
+    import numpy as np
+
+    from . import euclid as eu
+
+    if not args.out:
+        raise ValueError("ruled requires --out PREFIX for its output files")
     params = _load_json(args.input)
     surf, _ = _crosscap_from_params(params)
     radii = params["radii"]
@@ -305,8 +338,6 @@ def cmd_ruled(args):
     meshes = eu.ruled_family(surf, radii, t_values, angular_n=angular_n)
     exporter = eu.export_obj if args.format == "obj" else eu.export_csv
     suffix = "obj" if args.format == "obj" else "csv"
-    if not args.out:
-        raise ValueError("ruled requires --out PREFIX for its output files")
     written = []
     for radius, mesh in zip(radii, meshes):
         path = f"{args.out}_r{radius:g}.{suffix}"
@@ -318,6 +349,8 @@ def cmd_ruled(args):
 
 
 def cmd_ledger(args):
+    from . import ledger as lg
+
     rep = lg.reformulation_scenario(args.k)
     payload = {
         "k": rep.k,
@@ -336,6 +369,11 @@ def cmd_ledger(args):
 
 
 def cmd_tensor_probe(args):
+    import numpy as np
+
+    from . import linespace as ls
+    from .wirtinger import CHART_BOUND
+
     xi, eta = complex(args.xi), complex(args.eta)
     if not (cmath.isfinite(xi) and cmath.isfinite(eta)):
         raise BadParams(f"--xi and --eta must be finite, got {args.xi!r} and {args.eta!r}")
@@ -360,6 +398,8 @@ def cmd_tensor_probe(args):
 
 
 def cmd_verify_paper(args):
+    from .verify import report_to_json, run_verification
+
     report = run_verification(seed=args.seed)
     _emit(report_to_json(report) + "\n", args.out)
     return report.exit_code

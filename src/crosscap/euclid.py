@@ -402,19 +402,13 @@ def export_obj(mesh):
     return (verts + faces).encode("ascii")
 
 
-def csv_text(header, table):
-    """CSV text of a 2-D float table; every field is the shortest decimal that
-    parses back to its float bit for bit."""
-    lines = [header] + [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
-    return "\n".join(lines) + "\n"
-
-
 def export_csv(mesh):
     """CSV bytes with header ``u,v,x1,x2,x3`` in row-major vertex order.
 
-    The fields are those of ``csv_text``.  A u label repeats along its row
-    and a v label down its column, so each is formatted once; the line
-    template they make takes the vertex coordinates in one ``%r`` format.
+    Every field is the shortest decimal (``repr``) that parses back to its
+    float bit for bit.  A u label repeats along its row and a v label down
+    its column, so each is formatted once; the line template they make takes
+    the vertex coordinates in one ``%r`` format.
     """
     u_labels = [f"{u!r}," for u in mesh.u_values.tolist()]
     v_tails = [f"{v!r},%r,%r,%r\n" for v in mesh.v_values.tolist()]

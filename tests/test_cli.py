@@ -224,6 +224,20 @@ class TestRuled:
             data = open(name).read()
             assert data.startswith("v ")
 
+    def test_missing_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        from crosscap import euclid
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("ruled_family ran before the --out check")
+
+        monkeypatch.setattr(euclid, "ruled_family", not_called)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"kind": "simple", "radii": [0.8]}))
+        assert main(["ruled", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ruled requires --out PREFIX for its output files\n"
+        )
+
 
 class TestLedger:
     def test_k_zero(self, capsys):
@@ -321,6 +335,9 @@ class TestErrors:
                 "finite nonzero alpha",
             ),
             ("blowup", C1_AT_DEFAULTS % '"c": [1]', [], "'c' must be a number"),
+            ("blowup", "[1, 2]", [], "must be a JSON object, got [1, 2]"),
+            ("blowup", '"x"', [], "must be a JSON object, got 'x'"),
+            ("ruled", "[1, 2]", [], "must be a JSON object, got [1, 2]"),
             ("reconstruct", json.dumps(CUBIC_RECORDS), ["--grid", "0x5"], "below the 2x3"),
             (
                 "blowup",
@@ -360,6 +377,9 @@ class TestErrors:
             "inf-c",
             "inf-alpha",
             "list-c",
+            "blowup-list-params",
+            "blowup-string-params",
+            "ruled-list-params",
             "zero-grid-rows",
             "c2-inner-radius",
             "ruled-nan-t-min",
