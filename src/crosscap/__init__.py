@@ -20,7 +20,7 @@ caller, the command line included, pays only for the modules it uses.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "wirtinger": ("Loop", "MonomialField", "RationalField", "winding_number", "winding_of"),
+    "wirtinger": ("Loop", "MonomialField", "RationalField", "winding_of"),
     "linespace": (
         "LineVectors",
         "OrientedLine",

@@ -54,6 +54,14 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_params(path):
+    """The cross-cap parameter object in ``path``; BadParams for any other JSON value."""
+    params = _load_json(path)
+    if not isinstance(params, dict):
+        raise BadParams(f"cross-cap parameters must be a JSON object, got {params!r}")
+    return params
+
+
 def _field_from_payload(payload):
     from .wirtinger import MonomialField
 
@@ -83,7 +91,8 @@ def _section_from_file(path):
     if isinstance(payload, dict) and "num" in payload:
         return se.SectionGraph(
             RationalField(
-                _field_from_payload(payload["num"]), payload.get("den_power", 0)
+                _field_from_payload(payload["num"]),
+                _integer(payload.get("den_power", 0), "'den_power'"),
             )
         )
     return se.SectionGraph(RationalField(_field_from_payload(payload), 0))
@@ -146,8 +155,6 @@ def _crosscap_from_params(params):
     (None for the simple cap)."""
     from . import blowup as bl
 
-    if not isinstance(params, dict):
-        raise BadParams(f"cross-cap parameters must be a JSON object, got {params!r}")
     kind = params.get("kind", "c1")
     r0 = None
     if params.get("r0") is not None:
@@ -219,7 +226,7 @@ def cmd_blowup(args):
 
     from . import blowup as bl
 
-    params = _load_json(args.input)
+    params = _load_params(args.input)
     surf, p = _crosscap_from_params(params)
     seams = bl.seam_report(surf, order=2, tol=args.tol)
     cert = bl.certify_totally_real(surf, radial_n=args.grid_n)
@@ -317,9 +324,8 @@ def cmd_ruled(args):
 
     if not args.out:
         raise ValueError("ruled requires --out PREFIX for its output files")
-    params = _load_json(args.input)
-    surf, _ = _crosscap_from_params(params)
-    radii = params["radii"]
+    params = _load_params(args.input)
+    radii = params.get("radii")
     if not isinstance(radii, list):
         raise BadParams(f"'radii' must be a list of numbers, got {radii!r}")
     radii = [_finite(radius, "each of 'radii'") for radius in radii]
@@ -335,6 +341,7 @@ def cmd_ruled(args):
         _integer(params.get("t_n", 9), "'t_n'"),
     )
     angular_n = _integer(params.get("angular_n", 64), "'angular_n'")
+    surf, _ = _crosscap_from_params(params)
     meshes = eu.ruled_family(surf, radii, t_values, angular_n=angular_n)
     exporter = eu.export_obj if args.format == "obj" else eu.export_csv
     suffix = "obj" if args.format == "obj" else "csv"

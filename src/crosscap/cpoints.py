@@ -286,18 +286,4 @@ def quadratic_model_index(alpha, beta):
     scale = 2.0 * abs(a) + abs(b)
     if scale == 0 or abs(2.0 * abs(a) - abs(b)) <= QUADRATIC_BOUNDARY_REL_TOL * scale:
         raise DegenerateQuadratic("2|alpha| = |beta|: the model winding is undefined")
-    loop = Loop(0j, 1.0)
-    return winding_of(lambda pts: 2.0 * a * np.conj(pts) + b * pts, loop)
-
-
-def quadratic_model_report(alpha, beta):
-    """Index plus flags comparing the winding rule with the stricter
-    modulus condition |alpha| > 2|beta| sometimes quoted for hyperbolicity."""
-    index = quadratic_model_index(alpha, beta)
-    a, b = abs(complex(alpha)), abs(complex(beta))
-    return {
-        "index": index,
-        "kind": classify_index(index),
-        "strict_modulus_hyperbolic": a > 2.0 * b,
-        "gap_zone": (index == -1) and not (a > 2.0 * b),
-    }
+    return winding_of(lambda pts: 2.0 * a * np.conj(pts) + b * pts, Loop(0j, 1.0))

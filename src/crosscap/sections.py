@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPolynomialSupport, NotLagrangian, VanishingOnLoop
-from .wirtinger import ONE_PLUS_S, MonomialField, RationalField, winding_number
+from .errors import NonPolynomialSupport, NotLagrangian
+from .wirtinger import ONE_PLUS_S, MonomialField, RationalField, winding_of
 
 # support_from_section's Lagrangian test: the defect on an N x N grid over
 # [-1, 1]^2 must stay at or below LAGRANGIAN_DEFECT_TOL.
@@ -191,9 +191,10 @@ def boundary_winding(r, loop):
     Requires the totally-real defect to stay at or above
     ``TOTALLY_REAL_DEFECT_FLOOR`` on the loop; this winding is a diagnostic
     that tracks the enclosed complex-point index of the corresponding section.
+    A complex point can graze the loop with the defect still above the
+    floor, so increments below pi are accepted at the sample cap.
     """
-    pts = loop.samples()
-    vals = hessian_combination(r, pts)
-    if np.min(np.abs(vals) ** 2) < TOTALLY_REAL_DEFECT_FLOOR:
-        raise VanishingOnLoop("totally-real defect vanishes on the loop")
-    return winding_number(vals, min_mag=0.0)
+    return winding_of(
+        lambda pts: hessian_combination(r, pts), loop,
+        min_mag=TOTALLY_REAL_DEFECT_FLOOR ** 0.5, cap_increment=np.pi,
+    )

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import blowup, cpoints, euclid, ledger, linespace, sections
-from .wirtinger import Loop, MonomialField, RationalField, winding_number
+from .wirtinger import Loop, MonomialField, RationalField, winding_of
 
 DEFAULT_SEED = 20120724
 
@@ -337,8 +337,7 @@ def _index_additivity(inp):
     )
     sec_pert = sections.section_from_support(r_pert)
     reports = cpoints.find_complex_points(sec_pert, 0j, 0.8, grid_n=96)
-    loop = Loop(0j, 0.8, sample_count=8192)
-    boundary = winding_number(sec_pert.F.num.d_xibar().eval(loop.samples()))
+    boundary = winding_of(sec_pert.F.num.d_xibar().eval, Loop(0j, 0.8))
     local_sum = sum(rep.index for rep in reports)
     two_zero = cpoints.find_complex_points(
         sections.SectionGraph(

@@ -17,9 +17,9 @@ and caches; every power of ``xi`` or ``xibar`` a Horner gap needs is computed
 once per call and shared.  The operations and their order are those of the
 plain Horner loop, so the values are bit-identical to it.
 
-Winding numbers of nonvanishing functions around circles are computed by
-summing principal-branch argument increments, refining the sampling until
-every increment is safely below pi.
+One routine, ``winding_of``, turns a function on a circle into a winding
+number: it sums principal-branch argument increments, doubling the sampling
+until every increment is below pi/2.
 """
 
 import math
@@ -384,9 +384,10 @@ class RationalField:
         return f"RationalField({self.num!r}, den_power={self.den_power})"
 
     def eval(self, xi):
+        num = self.num.eval(xi)  # rejects points outside the chart before s can overflow
         z = np.asarray(xi, dtype=complex)
         s = (z * np.conj(z)).real
-        out = self.num.eval(xi) / (1.0 + s) ** self.den_power
+        out = num / (1.0 + s) ** self.den_power
         if np.isscalar(xi) or np.asarray(xi).ndim == 0:
             return complex(out)
         return out
@@ -435,79 +436,53 @@ class RationalField:
 
 
 class Loop:
-    """A sampling circle: center, radius and an even sample count >= 64."""
+    """A sampling circle: center and radius."""
 
-    __slots__ = ("center", "radius", "sample_count")
+    __slots__ = ("center", "radius")
 
-    def __init__(self, center, radius, sample_count=DEFAULT_SAMPLE_COUNT):
+    def __init__(self, center, radius):
         require_radius(radius, "loop radius")
-        if sample_count < 64 or sample_count % 2:
-            raise ValueError("sample_count must be even and at least 64")
         self.center = complex(center)
         self.radius = float(radius)
-        self.sample_count = int(sample_count)
 
-    def samples(self, count=None):
+    def samples(self, count=DEFAULT_SAMPLE_COUNT):
         """Uniformly spaced points on the circle, counterclockwise from angle 0."""
-        n = count or self.sample_count
-        theta = 2.0 * np.pi * np.arange(n) / n
+        theta = 2.0 * np.pi * np.arange(count) / count
         return self.center + self.radius * np.exp(1j * theta)
 
     def __repr__(self):
-        return f"Loop(center={self.center}, radius={self.radius}, sample_count={self.sample_count})"
+        return f"Loop(center={self.center}, radius={self.radius})"
 
 
-def _winding(vals, min_mag, where, max_increment):
-    """Winding of closed samples about the origin, or None when an argument
-    increment reaches ``max_increment``.
-
-    Raises ``VanishingOnLoop`` when a sample is smaller than ``min_mag`` and
-    ``UnresolvedWinding`` when the increments do not sum to a multiple of 2 pi.
-    """
-    if np.min(np.abs(vals)) < min_mag:
-        raise VanishingOnLoop(f"|value| dropped below min_mag={min_mag:g} on {where}")
-    incs = np.angle(np.roll(vals, -1) / vals)
-    if np.max(np.abs(incs)) >= max_increment:
-        return None
-    total = incs.sum() / (2.0 * np.pi)
-    w = round(total)
-    if abs(total - w) > 1e-6:
-        raise UnresolvedWinding(f"argument sum {total!r} is not an integer multiple of 2*pi")
-    return int(w)
-
-
-def winding_number(values, min_mag=DEFAULT_MIN_MAG):
-    """Winding of a closed sample sequence about the origin.
-
-    Sums principal-branch argument increments between consecutive samples
-    (wrapping around).  Raises ``VanishingOnLoop`` when any sample is smaller
-    than ``min_mag`` and ``UnresolvedWinding`` when an increment reaches pi,
-    which makes the branch ambiguous at this sampling density.
-    """
-    vals = np.asarray(values, dtype=complex)
-    if vals.size < 2:
-        raise ValueError("need at least two samples")
-    w = _winding(vals, min_mag, "the loop", np.pi - 1e-12)
-    if w is None:
-        raise UnresolvedWinding("argument increment reached pi; sampling too coarse")
-    return w
-
-
-def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG):
+def winding_of(func, loop, min_mag=DEFAULT_MIN_MAG, cap_increment=np.pi / 2):
     """Winding number of ``func`` around ``loop``, refining the sampling.
 
-    The sample count doubles (up to ``MAX_SAMPLE_COUNT``) until every argument
-    increment is below pi/2; a vanishing value on the loop is reported
-    immediately since refinement cannot repair it.
+    Sums principal-branch argument increments between samples, doubling the
+    sample count from ``DEFAULT_SAMPLE_COUNT`` until every increment is below
+    pi/2.  At ``MAX_SAMPLE_COUNT`` they need only be below ``cap_increment``,
+    which may be raised up to pi: samples there are 1e-4 loop radii apart, so
+    a simple zero falls on the wrong side of a chord only within about 1e-9
+    radii of the circle.  Raises ``VanishingOnLoop`` as soon as a value is
+    below ``min_mag`` and ``UnresolvedWinding`` when the cap is not enough.
     """
-    n = loop.sample_count
+    n = DEFAULT_SAMPLE_COUNT
     while True:
         vals = np.asarray(func(loop.samples(n)), dtype=complex)
-        w = _winding(vals, min_mag, f"loop of radius {loop.radius:g}", np.pi / 2)
-        if w is not None:
-            return w
-        if 2 * n > MAX_SAMPLE_COUNT:
-            raise UnresolvedWinding(
-                f"increments still reach pi/2 at the sample cap {MAX_SAMPLE_COUNT}"
+        if np.min(np.abs(vals)) < min_mag:
+            raise VanishingOnLoop(
+                f"|value| dropped below min_mag={min_mag:g} on loop of radius {loop.radius:g}"
             )
-        n *= 2
+        incs = np.angle(np.roll(vals, -1) / vals)
+        worst = np.max(np.abs(incs))
+        if worst >= np.pi / 2 and 2 * n <= MAX_SAMPLE_COUNT:
+            n *= 2
+            continue
+        if worst >= cap_increment:
+            raise UnresolvedWinding(
+                f"increments still reach {cap_increment:.4g} at the sample cap {MAX_SAMPLE_COUNT}"
+            )
+        total = incs.sum() / (2.0 * np.pi)
+        w = round(total)
+        if abs(total - w) > 1e-6:
+            raise UnresolvedWinding(f"argument sum {total!r} is not an integer multiple of 2*pi")
+        return int(w)

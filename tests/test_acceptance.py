@@ -12,7 +12,7 @@ import pytest
 
 from crosscap import blowup, cpoints, euclid, ledger, linespace, sections
 from crosscap.verify import report_to_json, run_verification
-from crosscap.wirtinger import Loop, MonomialField, winding_number
+from crosscap.wirtinger import Loop, MonomialField, winding_of
 
 CUBIC = sections.SupportFunction(
     MonomialField({(3, 0): 2.0 / 3.0, (0, 3): 2.0 / 3.0})
@@ -228,9 +228,7 @@ def test_criterion_08_index_correspondence():
     )
     sec_pert = sections.section_from_support(r_pert)
     reports = cpoints.find_complex_points(sec_pert, 0j, 0.8, grid_n=96)
-    boundary = winding_number(
-        sec_pert.F.num.d_xibar().eval(Loop(0j, 0.8, sample_count=8192).samples())
-    )
+    boundary = winding_of(sec_pert.F.num.d_xibar().eval, Loop(0j, 0.8))
     additivity = boundary == sum(rep.index for rep in reports)
     _report(
         8,

@@ -360,6 +360,10 @@ class TestErrors:
                 [],
                 "radii 0.8 and 0.8000001 both name the file _r0.8",
             ),
+            ("ruled", '{"kind": "c2", "r0": 0.9}', [], "'radii' must be a list"),
+            # r0 = 0.5 is out of range, but the ruled options are read first
+            ("ruled", '{"kind": "c2", "r0": 0.5}', [], "'radii' must be a list"),
+            ("ruled", '{"kind": "c2", "r0": 0.5, "radii": [0.8], "t_n": 2.5}', [], "'t_n'"),
         ],
         ids=[
             "constant-section",
@@ -387,6 +391,9 @@ class TestErrors:
             "ruled-string-radius",
             "ruled-bool-angular-n",
             "ruled-colliding-radii",
+            "ruled-missing-radii",
+            "ruled-radii-before-crosscap",
+            "ruled-t-n-before-crosscap",
         ],
     )
     def test_invalid_input_is_one_line_exit_one(
@@ -400,6 +407,15 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("den_power", ['"2"', "null", "true"], ids=["string", "null", "bool"])
+    def test_den_power_must_be_an_integer(self, den_power, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text('{"num": %s, "den_power": %s}' % (json.dumps(CUBIC_RECORDS), den_power))
+        assert main(["cpoints", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'den_power' must be an integer" in err
 
     @pytest.mark.parametrize("xi", ["1e200", "-1000.5", "700+800j"])
     def test_tensor_probe_beyond_chart_bound(self, xi, capsys):

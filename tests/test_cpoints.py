@@ -7,7 +7,6 @@ from crosscap.cpoints import (
     ParamSurface,
     find_complex_points,
     quadratic_model_index,
-    quadratic_model_report,
     section_complex_index,
     surface_defect,
 )
@@ -211,13 +210,6 @@ class TestQuadraticModel:
                 continue
             expected = -1 if 2 * abs(alpha) > abs(beta) else 1
             assert quadratic_model_index(alpha, beta) == expected
-
-    def test_gap_zone_flagged(self):
-        # hyperbolic by winding but not by the strict modulus condition
-        rep = quadratic_model_report(1.0, 1.0)
-        assert rep["index"] == -1 and rep["gap_zone"]
-        rep2 = quadratic_model_report(5.0, 1.0)
-        assert rep2["index"] == -1 and not rep2["gap_zone"]
 
 
 class TestReports:

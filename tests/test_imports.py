@@ -16,9 +16,9 @@ import crosscap
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name the package re-exported when its __init__ imported them eagerly
+# every name the package re-exports, by the submodule that defines it
 EXPORTED = {
-    "wirtinger": "Loop MonomialField RationalField winding_number winding_of",
+    "wirtinger": "Loop MonomialField RationalField winding_of",
     "linespace": "LineVectors OrientedLine TangentVec apply_j direction_vector line_to_vectors "
     "metric_g omega vectors_to_line",
     "sections": "SectionGraph SupportFunction boundary_winding lagrangian_defect "

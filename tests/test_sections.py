@@ -14,7 +14,7 @@ from crosscap.sections import (
     support_from_section,
     totally_real_defect,
 )
-from crosscap.wirtinger import Loop, MonomialField, RationalField
+from crosscap.wirtinger import MAX_SAMPLE_COUNT, Loop, MonomialField, RationalField
 
 ONE = MonomialField.constant(1.0)
 S = MonomialField({(1, 1): 1.0})
@@ -190,6 +190,16 @@ class TestTotallyRealDiagnostics:
         assert boundary_winding(r, Loop(0, 1.0)) == -1
         vals = hessian_combination(r, Loop(0, 1.0).samples())
         assert np.allclose(vals, 16.0 * np.conj(Loop(0, 1.0).samples()))
+
+    @pytest.mark.parametrize("side, expected", [(-1, -1), (1, 0)])
+    def test_boundary_winding_with_a_grazing_complex_point(self, side, expected):
+        # d2 r = xi - a puts a zero of the combination 4 conj(xi - a) 1e-5
+        # inside or outside the unit loop, between two samples even at the
+        # sample cap, while the defect there stays above the floor
+        a = (1 + side * 1e-5) * np.exp(1j * np.pi / MAX_SAMPLE_COUNT)
+        terms = {(3, 0): 1 / 6, (0, 3): 1 / 6, (2, 0): -a / 2, (0, 2): -a.conjugate() / 2}
+        r = SupportFunction(MonomialField(terms))
+        assert boundary_winding(r, Loop(0, 1.0)) == expected
 
     def test_boundary_winding_requires_nonvanishing_defect(self):
         r = cubic_support()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from crosscap.errors import ChartDomainError, UnresolvedWinding, VanishingOnLoop
 from crosscap.wirtinger import (
+    DEFAULT_SAMPLE_COUNT,
+    MAX_SAMPLE_COUNT,
     Loop,
     MonomialField,
     RationalField,
-    winding_number,
     winding_of,
 )
 
@@ -113,6 +115,13 @@ class TestEval:
         f = RationalField(2.0 * XI, 1)  # 2 xi / (1+s)
         assert f.eval(1.0) == pytest.approx(1.0)
 
+    def test_rational_chart_bound_rejected_before_overflow(self):
+        # 1e300 squared overflows; the chart check must come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartDomainError):
+                RationalField(MonomialField.xi(), 1).eval(1e300)
+
     def test_rational_reduction(self):
         f = RationalField((ONE + S) * XI, 2).reduced()
         assert f.den_power == 1
@@ -209,8 +218,7 @@ class TestEvalPlan:
 
 class TestWinding:
     def test_conjugate_coordinate(self):
-        loop = Loop(0, 1.0)
-        assert winding_number(np.conj(loop.samples())) == -1
+        assert winding_of(np.conj, Loop(0, 1)) == -1
 
     def test_dominant_conjugate_factor(self):
         f = (ONE + S) * (ONE + S) * XIBAR * XIBAR
@@ -230,24 +238,39 @@ class TestWinding:
         with pytest.raises(VanishingOnLoop):
             winding_of(lambda z: g.eval(z), Loop(0, 0.1))
 
-    def test_stable_under_doubling(self):
-        f = (ONE + S) * (ONE + S) * XIBAR * XIBAR
-        derivative = f.d_xibar()
-        results = {
-            winding_of(lambda z: derivative.eval(z), Loop(0, 0.3, sample_count=n))
-            for n in (64, 128, 256, 512)
-        }
-        assert results == {-1}
+    def test_refines_until_increments_are_resolved(self):
+        # z^100 turns by 2 pi 100 / n per step: pi/2 needs n > 400
+        counts = []
 
-    def test_unresolved_without_refinement(self):
-        # two samples of a nonvanishing function cannot pin the branch
-        vals = np.array([1.0, -1.0, 1.0, -1.0] * 32)
-        with pytest.raises(UnresolvedWinding):
-            winding_number(vals)
+        def power(z):
+            counts.append(z.size)
+            return z ** 100
+
+        assert winding_of(power, Loop(0, 1.0)) == 100
+        assert counts == [DEFAULT_SAMPLE_COUNT, 512]
+
+    def test_unresolved_at_the_sample_cap(self):
+        # alternating signs turn by pi at every sampling density
+        counts = []
+
+        def alternating(z):
+            counts.append(z.size)
+            return np.where(np.arange(z.size) % 2, -1.0, 1.0)
+
+        with pytest.raises(UnresolvedWinding, match="sample cap"):
+            winding_of(alternating, Loop(0, 1.0))
+        assert counts[-1] == MAX_SAMPLE_COUNT
+
+    @pytest.mark.parametrize("side, expected", [(-1, 1), (1, 0)])
+    def test_cap_increment(self, side, expected):
+        # a zero 1e-5 inside or outside the unit circle, midway between two
+        # cap samples, turns the argument by about 2.7 there
+        zero = (1 + side * 1e-5) * np.exp(1j * np.pi / MAX_SAMPLE_COUNT)
+        with pytest.raises(UnresolvedWinding, match="sample cap"):
+            winding_of(lambda z: z - zero, Loop(0, 1.0))
+        assert winding_of(lambda z: z - zero, Loop(0, 1.0), cap_increment=np.pi) == expected
 
     def test_loop_validation(self):
-        with pytest.raises(ValueError):
-            Loop(0, 1.0, sample_count=63)
         for radius in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive"):
                 Loop(0, radius)
