@@ -194,7 +194,8 @@ def boundary_winding(r, loop):
     A complex point can graze the loop with the defect still above the
     floor, so increments below pi are accepted at the sample cap.
     """
+    d2 = r.r.d_xi().d_xi()   # built once, not at every sampling level
     return winding_of(
-        lambda pts: hessian_combination(r, pts), loop,
+        lambda pts: 4.0 * np.conj(d2.eval(pts)), loop,
         min_mag=TOTALLY_REAL_DEFECT_FLOOR ** 0.5, cap_increment=np.pi,
     )

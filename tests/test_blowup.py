@@ -1,5 +1,11 @@
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscap.blowup import (
     C1CrossCapParams,
@@ -14,7 +20,7 @@ from crosscap.blowup import (
     seam_report,
     simple_crosscap_surface,
 )
-from crosscap.cpoints import ParamPiece, surface_defect
+from crosscap.cpoints import ParamPiece, ParamSurface, surface_defect
 from crosscap.errors import BadParams
 from crosscap.wirtinger import MonomialField
 
@@ -295,3 +301,143 @@ class TestSimpleCrossCap:
         xi, eta = simple_map(0.9)
         assert xi == pytest.approx((1 - 0.81) * 0.9, abs=1e-15)
         assert eta == pytest.approx(0.81, abs=1e-15)
+
+
+def sampled_seam_report(S, order=2, tol=1e-9, angles=64):
+    """The former sampled seam report, frozen as an oracle.
+
+    Each jump is the largest |left - right| over ``angles`` equally spaced
+    points of the seam circle, with the k-th radial derivative built as the
+    binomial sum of mixed Wirtinger derivatives weighted by u^(k-j) ubar^j.
+    Returns (xi_jumps, eta_jumps, certified_order) per seam.
+    """
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    out = []
+    for left, right in zip(S.pieces, S.pieces[1:]):
+        pts = left.rho_out * np.exp(1j * theta)
+        u = pts / np.abs(pts)
+
+        def radial(expr, k):
+            total = np.zeros_like(pts, dtype=complex)
+            for j in range(k + 1):
+                fld = expr
+                for _ in range(k - j):
+                    fld = fld.d_xi()
+                for _ in range(j):
+                    fld = fld.d_xibar()
+                total += math.comb(k, j) * u ** (k - j) * np.conj(u) ** j * fld.eval(pts)
+            return total
+
+        xi = [float(np.max(np.abs(radial(left.xi_expr, k) - radial(right.xi_expr, k))))
+              for k in range(order + 1)]
+        eta = [float(np.max(np.abs(radial(left.eta, k) - radial(right.eta, k))))
+               for k in range(order + 1)]
+        certified = -1
+        for k in range(order + 1):
+            if xi[k] <= tol and eta[k] <= tol:
+                certified = k
+            else:
+                break
+        out.append((xi, eta, certified))
+    return out
+
+
+@st.composite
+def crosscaps(draw):
+    """A C1 cap (complex alpha, c in (0.3, 60)) or a C2 cap (R0 in (0.61, 0.99)),
+    with the number of leading jump orders that vanish exactly (the rest of
+    each jump is its rounding residue)."""
+    if draw(st.booleans()):
+        return build_c2_crosscap(draw(st.floats(0.61, 0.99))), 3
+    eps = draw(st.floats(0.01, 0.42))
+    r0 = 1.0 - eps * draw(st.floats(0.02, 0.98))
+    alpha = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    c = draw(st.floats(0.3, 60.0))
+    return build_c1_crosscap(C1CrossCapParams(c=c, r0=r0, eps=eps, alpha=alpha)), 2
+
+
+def exact_profile_jump(left, right, rho, k):
+    """The k-th radial jump of a one-delta seam, from the float coefficients
+    and rho taken as exact rationals, with the sum of the moduli and the
+    number of the float terms that the jet computation adds up."""
+    assert len({m - n for f in (left, right) for m, n in f.terms()}) == 1
+    big_r = Fraction(rho)
+    re = im = Fraction(0)
+    scale, count = 0.0, 0
+    for sign, field in ((1, left), (-1, right)):
+        for (m, n), c in field.terms().items():
+            if m + n >= k:
+                w = math.perm(m + n, k) * big_r ** (m + n - k)
+                re += sign * Fraction(c.real) * w
+                im += sign * Fraction(c.imag) * w
+                scale += abs(c) * float(w)
+                count += 1
+    return math.sqrt(re * re + im * im), scale, count
+
+
+class TestSeamJets:
+    def test_aliased_seam_is_not_certified(self):
+        # nu^32 - nubar^32 = 2i R^32 sin(32 theta) vanishes at all 64 former
+        # sample angles, but the value jumps by 2 * 0.99^32 at theta = pi/64
+        eta = MonomialField.monomial(0, 2)
+        aliased = MonomialField.xi() + MonomialField.monomial(32, 0) - MonomialField.monomial(0, 32)
+        surf = ParamSurface([
+            ParamPiece(0.6, 0.99, aliased, eta),
+            ParamPiece(0.99, 1.0, MonomialField.xi(), eta),
+        ])
+        rep = seam_report(surf, order=2)[0]
+        assert rep.xi_jumps[0] == 1.4499606719157068
+        assert rep.xi_jumps[0] == pytest.approx(2 * 0.99 ** 32, rel=1e-15)
+        assert rep.eta_jumps == (0.0, 0.0, 0.0)
+        assert rep.certified_order == -1
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, False, -1, "2", None])
+    def test_order_must_be_a_non_negative_int(self, order):
+        with pytest.raises(BadParams, match="order"):
+            seam_report(build_c2_crosscap(np.sqrt(0.9)), order=order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(crosscaps())
+    def test_jumps_agree_with_the_sampled_report(self, cap):
+        surf, vanishing = cap
+        for rep, (xi, eta, certified) in zip(seam_report(surf), sampled_seam_report(surf)):
+            assert rep.certified_order == certified
+            for new, old in zip(rep.xi_jumps + rep.eta_jumps, xi + eta):
+                if max(new, old) > 1e-6:
+                    assert new == pytest.approx(old, rel=1e-12)
+                else:
+                    assert abs(new - old) < 1e-12
+            for residues in (rep.xi_jumps, rep.eta_jumps, xi, eta):
+                assert max(residues[:vanishing]) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(crosscaps())
+    def test_profile_jump_is_within_rounding_of_the_exact_jump(self, cap):
+        surf, _ = cap
+        # each term c perm(e, k) rho^(e-k) takes at most four roundings per
+        # part (pow, two products); each of the count accumulations adds one
+        # of a partial sum below scale; the difference and the modulus add
+        # two more; the factor 2 covers the real and imaginary parts
+        unit = 2.0 ** -53
+        for (left, right), rep in zip(zip(surf.pieces, surf.pieces[1:]), seam_report(surf)):
+            for fields, jumps in (((left.xi_expr, right.xi_expr), rep.xi_jumps),
+                                  ((left.eta, right.eta), rep.eta_jumps)):
+                for k, jump in enumerate(jumps):
+                    exact, scale, count = exact_profile_jump(*fields, rep.seam_radius, k)
+                    assert abs(jump - exact) <= 2 * (count + 8) * unit * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=8))
+    def test_mixed_deltas_bound_the_sampled_jump(self, terms):
+        # with several delta classes the jump is an upper bound on the sup
+        field = MonomialField({(m, n): complex(a, b) for m, n, a, b in terms})
+        eta = MonomialField.monomial(0, 2)
+        surf = ParamSurface([
+            ParamPiece(0.6, 0.9, field, eta),
+            ParamPiece(0.9, 1.0, MonomialField.xi(), eta),
+        ])
+        rep = seam_report(surf)[0]
+        (xi, _, _), = sampled_seam_report(surf)
+        for new, old in zip(rep.xi_jumps, xi):
+            assert new >= old * (1 - 1e-12) - 1e-12

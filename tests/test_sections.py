@@ -201,6 +201,38 @@ class TestTotallyRealDiagnostics:
         r = SupportFunction(MonomialField(terms))
         assert boundary_winding(r, Loop(0, 1.0)) == expected
 
+    def test_boundary_winding_keeps_the_bits_of_the_per_level_field(self, monkeypatch):
+        # the d2 r field is built once per call; each sampling level must see
+        # the bits the former per-level 4 conj(d2 r) gave, refined levels too
+        import crosscap.sections as se
+
+        real = se.winding_of
+
+        def recording(log):
+            def wrapped(func, loop, **kw):
+                def sample(pts):
+                    log.append(func(pts))
+                    return log[-1]
+                return real(sample, loop, **kw)
+            return wrapped
+
+        rng = np.random.default_rng(0)
+        refined = 0
+        for i in range(200):
+            r = random_real_support(rng, max_degree=3 + i % 4, scale=0.1)
+            loop = Loop(0j, 0.8)
+            new, old = [], []
+            monkeypatch.setattr(se, "winding_of", recording(new))
+            got = boundary_winding(r, loop)
+            want = recording(old)(
+                lambda pts: hessian_combination(r, pts), loop,
+                min_mag=se.TOTALLY_REAL_DEFECT_FLOOR ** 0.5, cap_increment=np.pi,
+            )
+            assert got == want
+            assert [v.tobytes() for v in new] == [v.tobytes() for v in old]
+            refined += len(new) > 1
+        assert refined >= 5
+
     def test_boundary_winding_requires_nonvanishing_defect(self):
         r = cubic_support()
         with pytest.raises(VanishingOnLoop):
