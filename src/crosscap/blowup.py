@@ -21,6 +21,13 @@ and for the C1 outer piece the bracket is 2 g(s, R0^2) for an explicit
 bivariate polynomial g whose critical behaviour at (1,1) controls the
 absence of complex points near the rim.  ``certify_totally_real`` counts the
 roots of the bracket on each piece exactly, with a Sturm sequence.
+
+No parameter changes the chart or the inner profiles, so they are module
+constants, built once at import next to ``ONE``, ``S`` (nu nubar) and ``T``
+(1 - nu nubar): ``XI_CHART`` (xi = T nu, the chart of every piece),
+``T_SQ`` (T^2, the C1 inner profile and the outer t^2 term), ``C2_INNER``
+(the C2 inner profile (1 + T^2 (1-T))^2 T^2) and ``C2_JET`` (Q, Q', Q'' of
+that profile in the t slot, which ``c2_constants`` evaluates at the seam).
 """
 
 import cmath
@@ -40,6 +47,10 @@ T = ONE - S                            # 1 - nu nubar
 NU = MonomialField.monomial(1, 0)
 NUBAR = MonomialField.monomial(0, 1)
 NUBAR2 = MonomialField.monomial(0, 2)
+XI_CHART = T * NU                      # xi = (1 - nu nubar) nu
+T_SQ = T * T
+_C2_BASE = ONE + T_SQ * (ONE - T)
+C2_INNER = _C2_BASE * _C2_BASE * T * T   # _c2_inner_profile's Q at t = T
 
 INNER_RADIUS_FLOOR = 3.0 ** -0.5       # the factor 3s - 1 vanishes at s = 1/3
 
@@ -80,14 +91,13 @@ def c1_matching_constants(c, r0):
 
 def _profile_surface(pieces_spec, eta_scale=1.0 + 0j):
     """Assemble a ParamSurface from (rho_in, rho_out, profile-in-t) triples."""
-    xi_expr = T * NU
     pieces = []
     for rho_in, rho_out, profile in pieces_spec:
         pieces.append(
             ParamPiece(
                 rho_in=rho_in,
                 rho_out=rho_out,
-                xi_expr=xi_expr,
+                xi_expr=XI_CHART,
                 eta_expr=profile * NUBAR2,
                 eta_scale=eta_scale,
             )
@@ -99,10 +109,9 @@ def build_c1_crosscap(p):
     """Two-piece C1 cross-cap: inner profile t^2, outer a + b t + c t^2, with
     eta scaled by alpha (kept as each piece's ``eta_scale``)."""
     a, b = c1_matching_constants(p.c, p.r0)
-    inner = T * T
-    outer = a * ONE + b * T + p.c * (T * T)
+    outer = a * ONE + b * T + p.c * T_SQ
     return _profile_surface(
-        [(1.0 - p.eps, p.r0, inner), (p.r0, 1.0, outer)], eta_scale=p.alpha
+        [(1.0 - p.eps, p.r0, T_SQ), (p.r0, 1.0, outer)], eta_scale=p.alpha
     )
 
 
@@ -455,6 +464,10 @@ def _c2_inner_profile():
     return base * base * t * t
 
 
+_C2_Q = _c2_inner_profile()
+C2_JET = (_C2_Q, _C2_Q.d_xi(), _C2_Q.d_xi().d_xi())
+
+
 @dataclass(frozen=True)
 class C2Constants:
     """Solver constants for the C2 seam plus the quoted closed forms and
@@ -486,10 +499,7 @@ def c2_constants(r0):
     if not (INNER_RADIUS_FLOOR < r0 < 1.0):
         raise BadParams("need 3^(-1/2) < R0 < 1")
     t0 = 1.0 - r0 * r0
-    Q = _c2_inner_profile()
-    q0 = complex(Q.eval_pair(t0, 0.0)).real
-    q1 = complex(Q.d_xi().eval_pair(t0, 0.0)).real
-    q2 = complex(Q.d_xi().d_xi().eval_pair(t0, 0.0)).real
+    q0, q1, q2 = (complex(q.eval_pair(t0, 0.0)).real for q in C2_JET)
     # the match matrix [[1, t0, t0^2], [0, 1, 2 t0], [0, 0, 2]] is upper
     # triangular with determinant 2: back-substitute, each step rounded once
     # (the bits of a LAPACK solve on hardware with fused multiply-add)
@@ -527,12 +537,8 @@ def build_c2_crosscap(r0, inner_radius=0.6):
     consts = c2_constants(r0)
     if not (INNER_RADIUS_FLOOR < inner_radius < r0):
         raise BadParams("inner radius must satisfy 3^(-1/2) < inner_radius < R0")
-    # Q(t) of _c2_inner_profile in the surface variable t = T = 1 - nu nubar
-    base = ONE + T * T * (ONE - T)
-    outer = consts.a * ONE + consts.b * T + consts.c * (T * T)
-    return _profile_surface(
-        [(inner_radius, r0, base * base * T * T), (r0, 1.0, outer)]
-    )
+    outer = consts.a * ONE + consts.b * T + consts.c * T_SQ
+    return _profile_surface([(inner_radius, r0, C2_INNER), (r0, 1.0, outer)])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ scalar coefficient arithmetic is floating point.  A ``RationalField`` divides
 a monomial field by a power of ``(1 + xi*xibar)``, which is the only
 denominator the chart geometry ever produces.
 
+The map is kept in canonical form: each key is a pair of non-negative Python
+ints, each coefficient a Python ``complex`` with no negative-zero part, and no
+coefficient is zero.  The public constructor checks and normalises whatever
+it is given.  The algebra already produces int keys from int keys, so it
+builds each result in canonical form directly, normalising only the
+coefficients, and costs little more than its arithmetic.
+
 The same classes double as generic bivariate polynomials via ``eval_pair``,
 where the second variable is evaluated independently instead of at the
 conjugate.  Evaluation is Horner's scheme from a plan each field builds once
@@ -23,7 +30,7 @@ until every increment is below pi/2.
 """
 
 import math
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -46,6 +53,11 @@ def require_radius(radius, what):
         raise ValueError(f"{what} must be positive and finite, got {radius!r}")
 
 
+def _is_int(e):
+    """True for an integer exponent: an ``Integral`` that is not a ``bool``."""
+    return type(e) is int or (isinstance(e, Integral) and not isinstance(e, bool))
+
+
 class _Powers(dict):
     """``d -> base ** d``, each power computed on first use and then shared."""
 
@@ -62,9 +74,15 @@ class _Powers(dict):
 class MonomialField:
     """Finite sum of monomials ``c_mn xi^m xibar^n`` in canonical form.
 
-    Canonical form means no stored zero coefficients.  Instances are
-    immutable: every operation returns a new field, so values are safe to
-    share between threads and across parallel grid sweeps.
+    Canonical form: keys are ``(m, n)`` pairs of non-negative Python ints,
+    coefficients are Python ``complex`` with no negative-zero part, and no
+    coefficient is zero.  ``MonomialField(terms)`` enforces it: exponents
+    must be integers (not bools) and non-negative, coefficients are
+    converted with ``complex``, and terms whose keys coincide after
+    conversion are summed.  Algebra results are built in canonical form
+    directly.  Instances are immutable: every operation returns a new field,
+    so values are safe to share between threads and across parallel grid
+    sweeps.
     """
 
     __slots__ = ("_terms", "_plan")
@@ -72,6 +90,8 @@ class MonomialField:
     def __init__(self, terms=None):
         clean = {}
         for (m, n), c in (terms or {}).items():
+            if not (_is_int(m) and _is_int(n)):
+                raise ValueError(f"exponents must be integers, got ({m!r}, {n!r})")
             m = int(m)
             n = int(n)
             if m < 0 or n < 0:
@@ -81,6 +101,19 @@ class MonomialField:
                 clean[(m, n)] = clean.get((m, n), 0j) + c
         self._terms = {k: v for k, v in clean.items() if v != 0}
         self._plan = None  # eval_pair's Horner plan, built on first use
+
+    @classmethod
+    def _canonical(cls, terms):
+        """A field from ``terms`` with int keys, one per monomial.
+
+        Only the coefficients are normalised, as the constructor would: made
+        Python ``complex``, signed zeros turned to +0.0 by ``0j +``, and
+        zeros dropped.
+        """
+        field = cls.__new__(cls)
+        field._terms = {k: 0j + complex(c) for k, c in terms.items() if c}
+        field._plan = None
+        return field
 
     # -- constructors -------------------------------------------------
 
@@ -149,36 +182,54 @@ class MonomialField:
 
     # -- algebra --------------------------------------------------------
 
+    # A scalar operand is any ``numbers.Number``; anything else that is not a
+    # field gets ``NotImplemented``, so Python raises ``TypeError``.
+
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if not isinstance(other, MonomialField):
+            if not isinstance(other, Number):
+                return NotImplemented
             other = MonomialField.constant(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0j) + c
-        return MonomialField(out)
+        return MonomialField._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MonomialField({k: -c for k, c in self._terms.items()})
+        return MonomialField._canonical({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if not isinstance(other, MonomialField):
+            if not isinstance(other, Number):
+                return NotImplemented
             other = MonomialField.constant(other)
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0j) - c
+        return MonomialField._canonical(out)
 
     def __rsub__(self, other):
+        if not isinstance(other, Number):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return MonomialField({k: c * other for k, c in self._terms.items()})
-        out = {}
-        for (m1, n1), c1 in self._terms.items():
-            for (m2, n2), c2 in other._terms.items():
-                k = (m1 + m2, n1 + n2)
-                out[k] = out.get(k, 0j) + c1 * c2
-        return MonomialField(out)
+        if isinstance(other, MonomialField):
+            out = {}
+            get = out.get
+            right = list(other._terms.items())
+            for (m1, n1), c1 in self._terms.items():
+                for (m2, n2), c2 in right:
+                    k = (m1 + m2, n1 + n2)
+                    out[k] = get(k, 0j) + c1 * c2
+            return MonomialField._canonical(out)
+        if not isinstance(other, Number):
+            return NotImplemented
+        if isinstance(other, Integral):
+            other = int(other)  # a numpy integer scales exactly as the equal int
+        return MonomialField._canonical({k: c * other for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -192,7 +243,9 @@ class MonomialField:
 
     def conj(self):
         """Complex conjugate field: conj(f)(xi) == conj(f evaluated at xi)."""
-        return MonomialField({(n, m): c.conjugate() for (m, n), c in self._terms.items()})
+        return MonomialField._canonical(
+            {(n, m): c.conjugate() for (m, n), c in self._terms.items()}
+        )
 
     def is_real_symmetric(self, tol=1e-12):
         """True when ``c_nm == conj(c_mn)`` for every term (real-valued field)."""
@@ -206,13 +259,13 @@ class MonomialField:
 
     def d_xi(self):
         """Exact Wirtinger derivative d/dxi: ``xi^m xibar^n -> m xi^(m-1) xibar^n``."""
-        return MonomialField(
+        return MonomialField._canonical(
             {(m - 1, n): m * c for (m, n), c in self._terms.items() if m > 0}
         )
 
     def d_xibar(self):
         """Exact Wirtinger derivative d/dxibar."""
-        return MonomialField(
+        return MonomialField._canonical(
             {(m, n - 1): n * c for (m, n), c in self._terms.items() if n > 0}
         )
 
@@ -293,12 +346,15 @@ class MonomialField:
 
     def shift_down(self, dm, dn):
         """Exact division by ``xi^dm xibar^dn``; raises if any term is too low."""
+        if not (_is_int(dm) and _is_int(dn) and dm >= 0 and dn >= 0):
+            raise ValueError(f"shift must be by non-negative integers, got ({dm!r}, {dn!r})")
+        dm, dn = int(dm), int(dn)
         out = {}
         for (m, n), c in self._terms.items():
             if m < dm or n < dn:
                 raise ValueError(f"term ({m},{n}) not divisible by xi^{dm} xibar^{dn}")
             out[(m - dm, n - dn)] = c
-        return MonomialField(out)
+        return MonomialField._canonical(out)
 
     def divide_by_one_plus_s(self):
         """Divide exactly by ``1 + xi*xibar``; returns None when not divisible.
@@ -326,7 +382,7 @@ class MonomialField:
                 rem.pop(up, None)
             else:
                 rem[up] = nxt
-        return MonomialField(quo)
+        return MonomialField._canonical(quo)
 
     # -- wire format ---------------------------------------------------------
 
@@ -349,7 +405,7 @@ class MonomialField:
             if not isinstance(rec, dict) or not {"m", "n", "re"} <= rec.keys():
                 raise ValueError(f"not an {{m, n, re, im}} record: {rec!r}")
             m, n, re, im = rec["m"], rec["n"], rec["re"], rec.get("im", 0.0)
-            if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in (m, n)):
+            if not (_is_int(m) and _is_int(n)):
                 raise ValueError(f"exponents must be integers: {rec!r}")
             if not all(
                 isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)

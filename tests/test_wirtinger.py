@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from crosscap.errors import ChartDomainError, UnresolvedWinding, VanishingOnLoop
 from crosscap.wirtinger import (
     DEFAULT_SAMPLE_COUNT,
     MAX_SAMPLE_COUNT,
+    ONE_PLUS_S,
     Loop,
     MonomialField,
     RationalField,
@@ -312,3 +314,211 @@ class TestWireFormat:
         f = MonomialField({(1, 1): 1.0, (2, 0): 0.0})
         assert (1, 1) in f.terms() and (2, 0) not in f.terms()
         assert (f - f) == MonomialField.zero()
+
+
+class TestInputs:
+    @pytest.mark.parametrize(
+        "key", [(1.5, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (np.float64(2.0), 1)]
+    )
+    def test_non_integer_exponents_rejected(self, key):
+        with pytest.raises(ValueError, match="integers"):
+            MonomialField({key: 1.0})
+
+    def test_numpy_integer_exponents_become_ints(self):
+        f = MonomialField({(np.int64(2), np.uint8(1)): 1.5})
+        assert f.terms() == {(2, 1): 1.5 + 0j}
+        assert all(type(e) is int for key in f.terms() for e in key)
+
+    @pytest.mark.parametrize("shift", [(0.0, 1), (0, 1.5), (True, 0), (-1, 0)])
+    def test_shift_down_rejects_non_integer_shifts(self, shift):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            (XI * XIBAR).shift_down(*shift)
+
+    @pytest.mark.parametrize("other", [None, "a", [1.0], object(), {(0, 0): 1.0}])
+    def test_unsupported_operands_raise_type_error(self, other):
+        f = ONE + XI
+        for op in (
+            lambda: f + other, lambda: other + f, lambda: f - other,
+            lambda: other - f, lambda: f * other, lambda: other * f,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+    @pytest.mark.parametrize("value", [0, 1, 3])
+    def test_numpy_integer_operands_match_int(self, kind, value):
+        f = MonomialField({(0, 0): 2.5 - 1e300j, (2, 1): -0.1 + 7j, (0, 3): 1e-300})
+        k = kind(value)
+        for got, want in ((f * k, f * value), (f + k, f + value), (f - k, f - value)):
+            assert same_terms(got, want.terms())
+
+
+# The validating constructor and operators MonomialField had before algebra
+# results were built in canonical form directly, frozen as the bit-for-bit
+# reference.  Fields are coefficient maps; scalars are int, float or complex
+# (bool, np.float64 and np.complex128 are subclasses of those).
+REF_SCALAR = (int, float, complex)
+
+
+def ref_field(terms):
+    clean = {}
+    for (m, n), c in terms.items():
+        m = int(m)
+        n = int(n)
+        c = complex(c)
+        if c != 0:
+            clean[(m, n)] = clean.get((m, n), 0j) + c
+    return {k: v for k, v in clean.items() if v != 0}
+
+
+def ref_add(a, b):
+    if isinstance(b, REF_SCALAR):
+        b = ref_field({(0, 0): b})
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0j) + c
+    return ref_field(out)
+
+
+def ref_neg(a):
+    return ref_field({k: -c for k, c in a.items()})
+
+
+def ref_sub(a, b):
+    if isinstance(b, REF_SCALAR):
+        b = ref_field({(0, 0): b})
+    return ref_add(a, ref_neg(b))
+
+
+def ref_mul(a, b):
+    if isinstance(b, REF_SCALAR):
+        return ref_field({k: c * b for k, c in a.items()})
+    out = {}
+    for (m1, n1), c1 in a.items():
+        for (m2, n2), c2 in b.items():
+            k = (m1 + m2, n1 + n2)
+            out[k] = out.get(k, 0j) + c1 * c2
+    return ref_field(out)
+
+
+def ref_shift_down(a, dm, dn):
+    out = {}
+    for (m, n), c in a.items():
+        if m < dm or n < dn:
+            return None
+        out[(m - dm, n - dn)] = c
+    return ref_field(out)
+
+
+def ref_divide_by_one_plus_s(a):
+    scale = max((abs(c) for c in a.values()), default=0.0) or 1.0
+    maxdeg = max((m + n for m, n in a), default=-1)
+    rem = dict(a)
+    quo = {}
+    while rem:
+        key = min(rem)
+        c = rem.pop(key)
+        if abs(c) <= 1e-12 * scale:
+            continue
+        m, n = key
+        if m + n > maxdeg:
+            return None
+        quo[key] = c
+        up = (m + 1, n + 1)
+        nxt = rem.get(up, 0j) - c
+        if nxt == 0:
+            rem.pop(up, None)
+        else:
+            rem[up] = nxt
+    return ref_field(quo)
+
+
+def same_terms(field, want):
+    """``field`` holds exactly the keys of ``want``, int exponents, and
+    coefficients of type ``complex`` with the same bits."""
+    got = field.terms()
+    return got.keys() == want.keys() and all(
+        type(m) is int and type(n) is int and type(c) is complex
+        and struct.pack("dd", c.real, c.imag) == struct.pack("dd", want[m, n].real, want[m, n].imag)
+        for (m, n), c in got.items()
+    )
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, 0.5, 3.0]),
+    st.floats(-10.0, 10.0),
+)
+ALGEBRA_COEFFS = st.one_of(
+    st.builds(complex, PARTS, PARTS), PARTS, st.integers(-3, 3)
+)
+ALGEBRA_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), ALGEBRA_COEFFS, max_size=8
+)
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    PARTS,
+    st.builds(complex, PARTS, PARTS),
+    PARTS.map(np.float64),
+    st.builds(complex, PARTS, PARTS).map(np.complex128),
+)
+
+
+class TestCanonicalAlgebra:
+    """Every algebra result equals the validating constructor's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=ALGEBRA_TERMS,
+        other=ALGEBRA_TERMS,
+        cancel=st.lists(st.booleans(), max_size=8),
+        scalar=SCALARS,
+        shift=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    )
+    @example(  # terms that cancel exactly, signed zeros and 1e+-300
+        terms={(1, 0): 1e300 + 1e-300j, (0, 0): complex(-0.0, 2.0)},
+        other={(1, 0): -1e300 - 1e-300j, (1, 1): 1e300},
+        cancel=[],
+        scalar=np.complex128(complex(1e300, -0.0)),
+        shift=(1, 0),
+    )
+    def test_matches_the_validating_constructor(self, terms, other, cancel, scalar, shift):
+        f = MonomialField(terms)
+        fd = f.terms()
+        # make some of g's terms cancel f's under + or -
+        for flip, key in zip(cancel, sorted(fd)):
+            other[key] = -fd[key] if flip else fd[key]
+        g = MonomialField(other)
+        gd = g.terms()
+        assert same_terms(f, ref_field(terms)) and same_terms(g, ref_field(other))
+
+        with np.errstate(all="ignore"):  # numpy scalars may overflow at 1e300
+            cases = [
+                (f + g, ref_add(fd, gd)),
+                (f + scalar, ref_add(fd, scalar)),
+                (scalar + f, ref_add(fd, scalar)),
+                (f - g, ref_sub(fd, gd)),
+                (f - scalar, ref_sub(fd, scalar)),
+                (scalar - f, ref_add(ref_neg(fd), scalar)),
+                (-f, ref_neg(fd)),
+                (f * g, ref_mul(fd, gd)),
+                (f * scalar, ref_mul(fd, scalar)),
+                (scalar * f, ref_mul(fd, scalar)),
+                (f ** 2, ref_mul(ref_mul(ref_field({(0, 0): 1.0}), fd), fd)),
+                (f.conj(), ref_field({(n, m): c.conjugate() for (m, n), c in fd.items()})),
+                (f.d_xi(), ref_field({(m - 1, n): m * c for (m, n), c in fd.items() if m > 0})),
+                (f.d_xibar(), ref_field({(m, n - 1): n * c for (m, n), c in fd.items() if n > 0})),
+            ]
+        for got, want in cases:
+            assert same_terms(got, want)
+
+        want = ref_shift_down(fd, *shift)
+        if want is None:
+            with pytest.raises(ValueError):
+                f.shift_down(*shift)
+        else:
+            assert same_terms(f.shift_down(*shift), want)
+        for h in (f, f * ONE_PLUS_S):
+            want = ref_divide_by_one_plus_s(h.terms())
+            got = h.divide_by_one_plus_s()
+            assert (got is None) if want is None else same_terms(got, want)
