@@ -32,6 +32,7 @@ SEAM_EPS = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 MAX_SHRINKS = 8
+MAX_GRID_N = 1024  # find_complex_points doubles its grid up to this size
 QUADRATIC_BOUNDARY_REL_TOL = 1e-12  # quadratic_model_index's degenerate band, relative
 
 
@@ -248,9 +249,15 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     """Locate and classify the zeros of dbar F inside a disc.
 
     ``_isolated_zeros`` finds each zero, and the index comes from a winding
-    loop of half the distance to the nearest other zero.  Raises
+    loop of half the distance to the nearest other zero.  The indices must
+    sum to the winding of dbar F on the rim ``Loop(center, radius)``; a zero
+    the grid missed breaks that sum, and the search runs again on a grid of
+    twice the size, up to ``MAX_GRID_N``.  Reports are returned unchecked
+    when the rim winding itself cannot be computed (dbar F vanishes on the
+    rim, or its increments stay unresolved there).  Raises
     ``DegenerateZeroCurve`` when the zeros are not isolated (a vanishing
-    field, or winding loops that cannot avoid zeros).
+    field, or winding loops that cannot avoid zeros) or when the sum still
+    differs at the largest grid.
     """
     require_radius(radius, "disc radius")
     if grid_n < 16:
@@ -258,6 +265,27 @@ def find_complex_points(F, center=0j, radius=1.0, grid_n=64):
     W = F.F.d_xibar()
     if not W.num:
         raise DegenerateZeroCurve("dbar F vanishes identically on the disc")
+    rim = None
+    while True:
+        reports = _complex_point_reports(W, center, radius, grid_n)
+        if rim is None:
+            try:
+                rim = winding_of(W.eval, Loop(center, radius))
+            except (VanishingOnLoop, UnresolvedWinding):
+                return reports
+        total = sum(rep.index for rep in reports)
+        if total == rim:
+            return reports
+        if grid_n >= MAX_GRID_N:
+            raise DegenerateZeroCurve(
+                f"indices of the zeros found sum to {total}, but dbar F winds {rim} times"
+                f" around the rim, still at grid_n {grid_n}"
+            )
+        grid_n = min(2 * grid_n, MAX_GRID_N)
+
+
+def _complex_point_reports(W, center, radius, grid_n):
+    """One report per zero ``_isolated_zeros`` finds on a ``grid_n`` grid."""
     reports = []
     for z, loop_radius in _isolated_zeros(W, center, radius, grid_n):
         try:

@@ -16,18 +16,20 @@ of (r11 - r22) + i (r12 + r21) around a loop.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonPolynomialSupport, NotLagrangian
 from .wirtinger import ONE_PLUS_S, MonomialField, RationalField, winding_of
 
-# support_from_section's Lagrangian test: the defect on an N x N grid over
-# [-1, 1]^2 must stay at or below LAGRANGIAN_DEFECT_TOL.
-LAGRANGIAN_GRID_N = 25
+# support_from_section's Lagrangian test: every coefficient of N - conj(N),
+# N the numerator of d/dxi (F / (1+xi xibar)^2), is at most
+# LAGRANGIAN_DEFECT_TOL * max(1, the largest coefficient modulus of N).
 LAGRANGIAN_DEFECT_TOL = 1e-8
 GRADIENT_SYMMETRY_REL_TOL = 1e-10  # conjugate-symmetry residual of an integrated gradient
 ROMBERG_TOL = 1e-10                # radial_support_value: relative stopping tolerance
+ROMBERG_MIN_LEVEL = 3              # first Romberg level the stopping rule may pass at
 ROMBERG_MAX_LEVELS = 24
 TOTALLY_REAL_DEFECT_FLOOR = 1e-9   # least defect on a boundary_winding loop
 
@@ -62,6 +64,15 @@ class SectionGraph:
 
     F: RationalField
 
+    @cached_property
+    def lagrangian_derivative(self):
+        """d/dxi (F / (1+xi xibar)^2), derived once per section.
+
+        The section is Lagrangian exactly where this is real; its numerator
+        equals its own conjugate exactly when that holds everywhere.
+        """
+        return RationalField(self.F.num, self.F.den_power + 2).d_xi()
+
 
 def section_from_support(r):
     """Build the section F = (1/2) (1+xi xibar)^2 conj(dr/dxi).
@@ -75,8 +86,7 @@ def section_from_support(r):
 
 def lagrangian_defect(F, xi):
     """|Im d/dxi (F / (1+xi xibar)^2)| at ``xi``; zero iff Lagrangian there."""
-    h = RationalField(F.F.num, F.F.den_power + 2)
-    vals = h.d_xi().eval(xi)
+    vals = F.lagrangian_derivative.eval(xi)
     if isinstance(vals, complex):
         return abs(vals.imag)
     return np.abs(np.imag(vals))
@@ -114,15 +124,18 @@ def _integrate_polynomial_gradient(G):
 def support_from_section(F):
     """Recover the support function of a Lagrangian section, normalized r(0) = 0.
 
-    The integrability precondition is tested as a Lagrangian-defect sweep on a
-    grid; failures raise ``NotLagrangian`` (the radial integral would be
+    The integrability precondition is the exact identity N = conj(N) for the
+    numerator N of ``F.lagrangian_derivative``: the denominator is a power of
+    the real 1 + xi xibar, so the derivative is real on the whole chart
+    exactly when N is.  It is tested coefficient by coefficient, to
+    ``LAGRANGIAN_DEFECT_TOL`` times max(1, the largest coefficient modulus of
+    N); failures raise ``NotLagrangian`` (the radial integral would be
     path-dependent).  Sections whose support is integrable but not polynomial
     raise ``NonPolynomialSupport``.
     """
-    ax = np.linspace(-1.0, 1.0, LAGRANGIAN_GRID_N)
-    zz = ax[None, :] + 1j * ax[:, None]
-    if np.max(lagrangian_defect(F, zz)) > LAGRANGIAN_DEFECT_TOL:
-        raise NotLagrangian("Lagrangian defect exceeds tolerance on the validation grid")
+    N = F.lagrangian_derivative.num
+    if (N - N.conj()).max_abs_coeff() > LAGRANGIAN_DEFECT_TOL * max(1.0, N.max_abs_coeff()):
+        raise NotLagrangian("d/dxi (F / (1+xi xibar)^2) is not a real field")
     # dr/dxi = 2 conj(F) / (1+s)^2 must reduce to a polynomial
     grad = RationalField(2.0 * F.F.num.conj(), F.F.den_power + 2).reduced()
     if grad.den_power != 0:
@@ -139,6 +152,11 @@ def radial_support_value(F, xi):
     Integrates d/dt r(t xi) = 4 Re[xi conj(F(t xi))] / (1 + t^2 |xi|^2)^2 over
     t in [0, 1] with the trapezoid rule and a Romberg table.  Serves as the
     independent reconstruction of the exact antiderivative.
+
+    The stopping rule cannot pass before level ``ROMBERG_MIN_LEVEL``, so the
+    end points and the nodes of every level up to it are evaluated in one
+    call, ordered by level; each later level is one call of its own.  Every
+    value and every level sum is the one a call per level gives.
     """
     z = complex(xi)
     if z == 0:
@@ -150,22 +168,22 @@ def radial_support_value(F, xi):
         fv = F.F.eval(t * z)
         return 4.0 * np.real(z * np.conj(fv)) / (1.0 + st) ** 2
 
-    rows = []
-    n = 1
-    a, b = 0.0, 1.0
-    fa, fb = integrand(np.array([a]))[0], integrand(np.array([b]))[0]
-    T = 0.5 * (b - a) * (fa + fb)
-    rows.append([T])
+    first = integrand(np.concatenate(
+        [[0.0, 1.0]] + [np.arange(1, 2 ** k, 2) / 2 ** k for k in range(1, ROMBERG_MIN_LEVEL + 1)]
+    ))
+    rows = [[0.5 * (first[0] + first[1])]]
     for level in range(1, ROMBERG_MAX_LEVELS):
-        n *= 2
-        mid = a + (b - a) * (np.arange(1, n, 2) / n)
-        T = 0.5 * rows[-1][0] + (b - a) / n * integrand(mid).sum()
-        row = [T]
+        n = 2 ** level
+        if level <= ROMBERG_MIN_LEVEL:
+            level_sum = first[n // 2 + 1:n + 1].sum()   # the n/2 nodes of this level
+        else:
+            level_sum = integrand(np.arange(1, n, 2) / n).sum()
+        row = [0.5 * rows[-1][0] + 1.0 / n * level_sum]
         for k in range(1, level + 1):
             row.append(row[k - 1] + (row[k - 1] - rows[-1][k - 1]) / (4.0 ** k - 1.0))
         rows.append(row)
-        best = rows[-1][-1]
-        if level >= 3 and abs(best - rows[-2][-1]) < ROMBERG_TOL * (1.0 + abs(best)):
+        best = row[-1]
+        if level >= ROMBERG_MIN_LEVEL and abs(best - rows[-2][-1]) < ROMBERG_TOL * (1.0 + abs(best)):
             return best
     return rows[-1][-1]
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import crosscap.cpoints as cp
 from crosscap.cpoints import (
+    MAX_GRID_N,
     ComplexPointReport,
     ParamPiece,
     ParamSurface,
@@ -114,6 +116,64 @@ class TestSectionIndex:
         assert indices == {-1}
 
 
+def mirrored_support(half):
+    """The real support whose m >= n coefficients are ``half``."""
+    terms = dict(half)
+    terms.update({(n, m): c.conjugate() for (m, n), c in half.items() if m != n})
+    return SupportFunction(MonomialField(terms))
+
+
+def record_grids(monkeypatch, find=None):
+    """Route ``find_complex_points``' zero search through ``find`` (the real
+    one by default) and return the list of grid sizes it is asked for."""
+    seen = []
+    find = find or cp._isolated_zeros
+
+    def logged(W, center, radius, grid_n):
+        seen.append(grid_n)
+        return find(W, center, radius, grid_n)
+
+    monkeypatch.setattr(cp, "_isolated_zeros", logged)
+    return seen
+
+
+# Two sections benchmark supports on which a 64-grid misses a zero inside the
+# disc of radius 0.8: near 0.0106+0.0911i, where |W_xi| and |W_xibar| are
+# close and the Jacobian is near-singular, and near 0.6605+0.2706i.
+MISSED_NEAR_ORIGIN = {
+    (0, 0): (0.07977852119971408+0j),
+    (1, 0): (-0.04799266246449157-0.10617497626688102j),
+    (1, 1): (-0.03572174152883341+0j),
+    (2, 0): (0.026830197937884766-0.0005916599376209449j),
+    (2, 1): (0.038509236343262705-0.09856047749423363j),
+    (2, 2): (-0.2209910120527456+0j),
+    (3, 0): (-0.017802372740307472+0.03754434222445363j),
+    (3, 1): (0.05950019726715033-0.04102163664884439j),
+    (3, 2): (-0.19511835694512264-0.03251915101996327j),
+    (4, 0): (0.0260398657637122-0.10206118958487582j),
+    (4, 1): (-0.046819244891172083+0.1097562068332611j),
+    (5, 0): (-0.07630123442383781-0.08279607959308662j),
+}
+MISSED_NEAR_RIM = {
+    (0, 0): (-0.016371724791140713+0j),
+    (1, 0): (0.06326962180391883+0.1329461910913095j),
+    (1, 1): (-0.0025251476577520283+0j),
+    (2, 0): (0.006299105072063583+0.06891682351987939j),
+    (2, 1): (0.014632348880095805+0.04257356900512696j),
+    (2, 2): (0.013529798441866437+0j),
+    (3, 0): (0.09510449043114376-0.03361347952374101j),
+    (3, 1): (0.03558430027382077-0.07919134580899115j),
+    (3, 2): (-0.05638229415272984-0.06905911954966083j),
+    (3, 3): (-0.14182274413104157+0j),
+    (4, 0): (-0.044940001154734316+0.012803763780002681j),
+    (4, 1): (0.087308248914166-0.021253635254957635j),
+    (4, 2): (-0.053828824867094484+0.03642092325546034j),
+    (5, 0): (-0.09108475054238649+0.07242462770454909j),
+    (5, 1): (0.07197822451395429+0.055414935263069946j),
+    (6, 0): (-0.0434779250187391-0.03783355401451558j),
+}
+
+
 class TestFindComplexPoints:
     def test_hyperbolic_example_disc(self):
         reports = find_complex_points(hyperbolic_example_section(), 0j, 0.5)
@@ -184,6 +244,39 @@ class TestFindComplexPoints:
         reports = find_complex_points(sec, 0j, 0.8, grid_n=64)
         oracle = boundary_index_oracle(sec.F.num.d_xibar(), 0j, 0.8)
         assert sum(rep.index for rep in reports) == oracle == 0
+
+    @pytest.mark.parametrize(
+        "half, missed, rim",
+        [(MISSED_NEAR_ORIGIN, 0.0106 + 0.0911j, -2), (MISSED_NEAR_RIM, 0.6605 + 0.2706j, -1)],
+    )
+    def test_rim_winding_refines_a_grid_that_misses_a_zero(self, half, missed, rim, monkeypatch):
+        sec = section_from_support(mirrored_support(half))
+        assert boundary_index_oracle(sec.F.num.d_xibar(), 0j, 0.8) == rim
+        grids = record_grids(monkeypatch)
+        reports = find_complex_points(sec, 0j, 0.8, grid_n=64)
+        assert grids == [64, 128]
+        assert sum(rep.index for rep in reports) == rim
+        assert min(abs(rep.location - missed) for rep in reports) < 1e-4
+        fine = find_complex_points(sec, 0j, 0.8, grid_n=128)
+        assert [(r.location, r.index) for r in reports] == [(r.location, r.index) for r in fine]
+
+    @pytest.mark.parametrize(
+        "grid_n, grids", [(64, [64, 128, 256, 512, 1024]), (96, [96, 192, 384, 768, 1024])]
+    )
+    def test_rim_mismatch_past_the_grid_cap_is_degenerate(self, grid_n, grids, monkeypatch):
+        # a finder that never sees the zero keeps the index sum at 0 against
+        # a rim winding of -1
+        seen = record_grids(monkeypatch, lambda *args: [])
+        with pytest.raises(DegenerateZeroCurve):
+            find_complex_points(hyperbolic_example_section(), 0j, 0.5, grid_n=grid_n)
+        assert seen == grids and grids[-1] == MAX_GRID_N
+
+    def test_unresolved_rim_returns_reports_unchecked(self, monkeypatch):
+        # dbar F = xibar^2 - 0.09 vanishes at +-0.3, on the rim of this disc
+        F = SectionGraph(RationalField(MonomialField({(0, 3): 1.0 / 3.0, (0, 1): -0.09}), 0))
+        seen = record_grids(monkeypatch, lambda *args: [])
+        assert find_complex_points(F, 0j, 0.3, grid_n=64) == []
+        assert seen == [64]
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crosscap.errors import NotLagrangian, VanishingOnLoop
+from crosscap.errors import NonPolynomialSupport, NotLagrangian, VanishingOnLoop
 from crosscap.linespace import OrientedLine, TangentVec, omega
 from crosscap.sections import (
+    ROMBERG_MAX_LEVELS,
+    ROMBERG_MIN_LEVEL,
+    ROMBERG_TOL,
     SectionGraph,
     SupportFunction,
     boundary_winding,
@@ -18,6 +23,7 @@ from crosscap.wirtinger import MAX_SAMPLE_COUNT, Loop, MonomialField, RationalFi
 
 ONE = MonomialField.constant(1.0)
 S = MonomialField({(1, 1): 1.0})
+XI = MonomialField.xi()
 
 
 def cubic_support():
@@ -37,6 +43,68 @@ def random_real_support(rng, max_degree=4, scale=0.3):
             if m != n:
                 terms[(n, m)] = terms.get((n, m), 0) + c.conjugate()
     return SupportFunction(MonomialField(terms))
+
+
+def log_support_section():
+    # F = (1/2) xi (1+s) is Lagrangian with support log(1 + xi xibar)
+    return SectionGraph(RationalField(0.5 * XI * (ONE + S), 0))
+
+
+def per_level_romberg(F, xi):
+    """The radial quadrature with one eval call per Romberg level, as first
+    written: the reference the batched routine keeps the bits of.  Returns
+    the value and the number of levels the table reached."""
+    z = complex(xi)
+    if z == 0:
+        return 0.0, 0
+    s = (z * z.conjugate()).real
+
+    def integrand(t):
+        st = t * t * s
+        fv = F.F.eval(t * z)
+        return 4.0 * np.real(z * np.conj(fv)) / (1.0 + st) ** 2
+
+    rows = []
+    n = 1
+    a, b = 0.0, 1.0
+    fa, fb = integrand(np.array([a]))[0], integrand(np.array([b]))[0]
+    T = 0.5 * (b - a) * (fa + fb)
+    rows.append([T])
+    for level in range(1, ROMBERG_MAX_LEVELS):
+        n *= 2
+        mid = a + (b - a) * (np.arange(1, n, 2) / n)
+        T = 0.5 * rows[-1][0] + (b - a) / n * integrand(mid).sum()
+        row = [T]
+        for k in range(1, level + 1):
+            row.append(row[k - 1] + (row[k - 1] - rows[-1][k - 1]) / (4.0 ** k - 1.0))
+        rows.append(row)
+        best = rows[-1][-1]
+        if level >= 3 and abs(best - rows[-2][-1]) < ROMBERG_TOL * (1.0 + abs(best)):
+            return best, level
+    return rows[-1][-1], ROMBERG_MAX_LEVELS - 1
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def sections_of_degree_3_to_6(draw):
+    """Lagrangian sections of random supports, or raw rational sections,
+    whose radial integrands are not polynomial in t."""
+    degree = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return section_from_support(random_real_support(rng, max_degree=degree))
+    keys = [(m, n) for m in range(degree + 1) for n in range(degree + 1 - m)]
+    coeffs = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(st.sampled_from(keys), coeffs, min_size=1))
+    return SectionGraph(RationalField(MonomialField(terms), draw(st.integers(0, 3))))
+
+
+RADIAL_POINTS = st.one_of(
+    st.just(0j), st.complex_numbers(max_magnitude=20.0, allow_nan=False, allow_infinity=False)
+)
 
 
 class TestSectionFromSupport:
@@ -94,6 +162,19 @@ class TestLagrangianDefect:
         assert expected > 0.0
         assert lagrangian_defect(sec, xi) == pytest.approx(expected, abs=1e-12)
 
+    def test_values_keep_the_bits_of_the_per_call_derivative(self):
+        # the derivative is cached on the section; each value must be the one
+        # deriving d/dxi (F / (1+s)^2) afresh on every call gave
+        rng = np.random.default_rng(5)
+        sections = [SectionGraph(RationalField(S, 0)), log_support_section()]
+        sections += [section_from_support(random_real_support(rng, d)) for d in (3, 4, 5, 6)]
+        pts = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+        for sec in sections:
+            fresh = RationalField(sec.F.num, sec.F.den_power + 2).d_xi()
+            assert same_bits(lagrangian_defect(sec, pts), np.abs(np.imag(fresh.eval(pts))))
+            assert same_bits(lagrangian_defect(sec, 0.3 - 0.7j), abs(fresh.eval(0.3 - 0.7j).imag))
+            assert sec.lagrangian_derivative is sec.lagrangian_derivative
+
 
 class TestSupportFromSection:
     def test_zero_section(self):
@@ -110,6 +191,25 @@ class TestSupportFromSection:
     def test_non_lagrangian_rejected(self):
         with pytest.raises(NotLagrangian):
             support_from_section(SectionGraph(RationalField(S, 0)))
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    def test_scaled_lagrangian_section_accepted(self, scale):
+        # the identity is tested relative to the coefficients, so rounding
+        # residue that grows with them is no defect
+        r = random_real_support(np.random.default_rng(43), max_degree=5)
+        sec = SectionGraph(RationalField(scale * section_from_support(r).F.num, 0))
+        back = support_from_section(sec)
+        normalized = r.r - MonomialField.constant(r.r.eval(0))
+        assert back.r.allclose(scale * normalized, tol=1e-10 * scale)
+
+    def test_lagrangian_test_runs_before_the_polynomial_test(self):
+        # the log-support section fails only the polynomial test; an xi xibar
+        # term 1e-6 in size makes it non-Lagrangian too, and that is reported
+        with pytest.raises(NonPolynomialSupport):
+            support_from_section(log_support_section())
+        F = SectionGraph(RationalField(log_support_section().F.num + 1e-6 * S, 0))
+        with pytest.raises(NotLagrangian):
+            support_from_section(F)
 
     def test_round_trip_random_supports(self):
         rng = np.random.default_rng(19)
@@ -129,6 +229,22 @@ class TestSupportFromSection:
             exact = float(np.real(r.r.eval(xi)) - np.real(r.r.eval(0)))
             quad = radial_support_value(sec, xi)
             assert quad == pytest.approx(exact, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sec=sections_of_degree_3_to_6(), xi=RADIAL_POINTS)
+    @example(sec=log_support_section(), xi=0j)
+    @example(sec=log_support_section(), xi=10.0 - 3j)
+    def test_batched_romberg_keeps_the_bits_of_the_per_level_routine(self, sec, xi):
+        want, _ = per_level_romberg(sec, xi)
+        assert same_bits(radial_support_value(sec, xi), want)
+
+    def test_levels_past_the_batch_keep_their_bits(self):
+        # a polynomial support's integrand is polynomial in t and passes at
+        # ROMBERG_MIN_LEVEL; the log support's needs more levels
+        for xi in (2.0, 5j, 10.0 - 3j):
+            want, levels = per_level_romberg(log_support_section(), xi)
+            assert levels > ROMBERG_MIN_LEVEL
+            assert same_bits(radial_support_value(log_support_section(), xi), want)
 
     def test_quadrature_on_random_support(self):
         rng = np.random.default_rng(37)
@@ -243,9 +359,7 @@ class TestNonPolynomialSupport:
     def test_log_support_section_rejected_exactly(self):
         # F = (1/2) xi (1+s) is Lagrangian with support log(1 + xi xibar),
         # which no polynomial represents
-        from crosscap.errors import NonPolynomialSupport
-
-        F = SectionGraph(RationalField(0.5 * MonomialField.xi() * (ONE + S), 0))
+        F = log_support_section()
         ax = np.linspace(-1, 1, 15)
         zz = ax[None, :] + 1j * ax[:, None]
         assert np.max(lagrangian_defect(F, zz)) < 1e-14
@@ -254,7 +368,7 @@ class TestNonPolynomialSupport:
 
     def test_quadrature_still_integrates_it(self):
         # the radial quadrature does not need a polynomial antiderivative
-        F = SectionGraph(RationalField(0.5 * MonomialField.xi() * (ONE + S), 0))
+        F = log_support_section()
         for xi in (1.0, 0.5 + 0.25j, 1.4j):
             expected = float(np.log1p(abs(complex(xi)) ** 2))
             assert radial_support_value(F, xi) == pytest.approx(expected, abs=1e-9)
