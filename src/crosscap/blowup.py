@@ -19,8 +19,12 @@ For profile surfaces W factors as
 
 and for the C1 outer piece the bracket is 2 g(s, R0^2) for an explicit
 bivariate polynomial g whose critical behaviour at (1,1) controls the
-absence of complex points near the rim.  ``certify_totally_real`` counts the
-roots of the bracket on each piece exactly, with a Sturm sequence.
+absence of complex points near the rim.  Every verdict comes from one exact
+integer h with W = nubar h(nu nubar), expanded from the chart coefficients:
+``certify_totally_real`` counts the roots of h on each piece with a Sturm
+sequence, ``derive_reality_polynomial`` checks g against the h of the outer
+profile, and a piece whose defect has no such h raises
+``FactorizationFailed``.
 
 No parameter changes the chart or the inner profiles, so they are module
 constants, built once at import next to ``ONE``, ``S`` (nu nubar) and ``T``
@@ -28,6 +32,8 @@ constants, built once at import next to ``ONE``, ``S`` (nu nubar) and ``T``
 ``T_SQ`` (T^2, the C1 inner profile and the outer t^2 term), ``C2_INNER``
 (the C2 inner profile (1 + T^2 (1-T))^2 T^2) and ``C2_JET`` (Q, Q', Q'' of
 that profile in the t slot, which ``c2_constants`` evaluates at the seam).
+``X`` and ``Y`` are the two slots of g, and ``C1_INNER_BRACKET`` is the C1
+inner W / nubar, 2 (1-x)^2 (3x-1), in the x slot.
 """
 
 import cmath
@@ -51,6 +57,8 @@ XI_CHART = T * NU                      # xi = (1 - nu nubar) nu
 T_SQ = T * T
 _C2_BASE = ONE + T_SQ * (ONE - T)
 C2_INNER = _C2_BASE * _C2_BASE * T * T   # _c2_inner_profile's Q at t = T
+X, Y = NU, NUBAR                       # the slots of g: x = nu nubar, y = R0^2
+C1_INNER_BRACKET = 2.0 * (ONE - X) * (ONE - X) * (3.0 * X - ONE)
 
 INNER_RADIUS_FLOOR = 3.0 ** -0.5       # the factor 3s - 1 vanishes at s = 1/3
 
@@ -105,13 +113,17 @@ def _profile_surface(pieces_spec, eta_scale=1.0 + 0j):
     return ParamSurface(pieces)
 
 
+def _c1_outer_profile(p):
+    """The C1 outer profile a + b T + c T^2, with a, b the seam constants."""
+    a, b = c1_matching_constants(p.c, p.r0)
+    return a * ONE + b * T + p.c * T_SQ
+
+
 def build_c1_crosscap(p):
     """Two-piece C1 cross-cap: inner profile t^2, outer a + b t + c t^2, with
     eta scaled by alpha (kept as each piece's ``eta_scale``)."""
-    a, b = c1_matching_constants(p.c, p.r0)
-    outer = a * ONE + b * T + p.c * T_SQ
     return _profile_surface(
-        [(1.0 - p.eps, p.r0, T_SQ), (p.r0, 1.0, outer)], eta_scale=p.alpha
+        [(1.0 - p.eps, p.r0, T_SQ), (p.r0, 1.0, _c1_outer_profile(p))], eta_scale=p.alpha
     )
 
 
@@ -131,44 +143,29 @@ def derive_reality_polynomial(p):
 
     Works at alpha = 1 (W scales linearly in alpha).  The bivariate g is
     produced from the profile algebra in (x, y) = (nu nubar, R0^2) and then
-    verified coefficient-by-coefficient against the exact Wirtinger
-    expansion of W for this parameter choice; any mismatch raises
-    ``FactorizationFailed``.
+    checked coefficient by coefficient: g(x, R0^2) must equal -h/2 for the
+    exact h of the outer profile (``_exact_profile_h``), within
+    1e-10 max(1, |c|); a mismatch raises ``FactorizationFailed``.  The inner
+    bracket depends on no parameter and is ``C1_INNER_BRACKET``.
     """
     if p.alpha != 1:
         raise BadParams("derivation is normalized to alpha = 1")
-    x = MonomialField.monomial(1, 0)   # slot 1: x = nu nubar
-    y = MonomialField.monomial(0, 1)   # slot 2: y = R0^2
-    one = MonomialField.constant(1.0)
     c = p.c
-    a_y = (c - 1.0) * (one - y) * (one - y)
-    b_y = 2.0 * (1.0 - c) * (one - y)
-    P = a_y + b_y * (one - x) + c * (one - x) * (one - x)
-    Px = P.d_xi()
-    g = 0.5 * (x * (one - x) * Px + 2.0 * (one - 2.0 * x) * P)
+    a_y = (c - 1.0) * (ONE - Y) * (ONE - Y)
+    b_y = 2.0 * (1.0 - c) * (ONE - Y)
+    P = a_y + b_y * (ONE - X) + c * (ONE - X) * (ONE - X)
+    g = 0.5 * (X * (ONE - X) * P.d_xi() + 2.0 * (ONE - 2.0 * X) * P)
 
-    # independent route: exact Wirtinger expansion of the built surface
-    surface = build_c1_crosscap(p)
-    w_outer = surface.pieces[1].defect_field()
-    try:
-        bracket = w_outer.shift_down(0, 1) * (-0.5)  # W / (-2 nubar)
-    except ValueError as exc:
-        raise FactorizationFailed("outer defect is not divisible by nubar") from exc
     y0 = p.r0 * p.r0
-    expected = {}
+    g_y0 = {}
     for (i, j), coeff in g.terms().items():
-        expected[(i, i)] = expected.get((i, i), 0j) + coeff * y0 ** j
-    if not bracket.allclose(MonomialField(expected), tol=1e-10 * max(1.0, abs(c))):
-        raise FactorizationFailed("profile-algebra g disagrees with the Wirtinger expansion")
-
-    w_inner = surface.pieces[0].defect_field()
-    inner = 2.0 * (one - x) * (one - x) * (3.0 * x - one)
-    expected_inner = MonomialField(
-        {(i, i + 1): coeff for (i, _), coeff in inner.terms().items()}
-    )
-    if not w_inner.allclose(expected_inner, tol=1e-12):
-        raise FactorizationFailed("inner defect does not factor as 2 (1-x)^2 (3x-1) nubar")
-    return RealityPolynomial(g=g, inner_profile=inner, c=c, y0=y0)
+        g_y0[i] = g_y0.get(i, 0j) + coeff * y0 ** j
+    coeffs, den = _exact_profile_h(XI_CHART, _c1_outer_profile(p) * NUBAR2)
+    half_h = {i: -0.5 * complex(re / den, im / den) for i, (re, im) in enumerate(coeffs)}
+    tol = 1e-10 * max(1.0, abs(c))
+    if any(abs(g_y0.get(i, 0j) - half_h.get(i, 0j)) > tol for i in g_y0.keys() | half_h.keys()):
+        raise FactorizationFailed("profile-algebra g disagrees with the exact outer profile h")
+    return RealityPolynomial(g=g, inner_profile=C1_INNER_BRACKET, c=c, y0=y0)
 
 
 @dataclass(frozen=True)
@@ -231,17 +228,13 @@ def g_critical_report(g, c):
 
 @dataclass(frozen=True)
 class PieceCertification:
-    """The certificate of one piece.
+    """The exact Sturm certificate of one profile piece, W = nubar h(nu nubar).
 
-    ``"sturm"``: the piece is a profile piece, W = nubar h(nu nubar) with
-    h != 0, and ``root_count`` is the exact number of distinct common real
-    roots of Re h and Im h on [rho_in^2, rho_out^2], ends included; each is a
-    circle of complex points.  ``min_abs_w`` is the smallest
-    |W| = r |h(r^2)| over ``radial_n`` radii and ``argmin_nu`` that radius.
-
-    ``"grid"``: any other piece; |W| is swept on a (radius, angle) grid, the
-    piece passes when no sample has |W| < min_mag (or NaN), and
-    ``root_count`` is None: the grid counts no roots.
+    ``root_count`` is the exact number of distinct common real roots of
+    Re h and Im h on [rho_in^2, rho_out^2], ends included; each is a circle
+    of complex points, and the piece passes when there is none.
+    ``min_abs_w`` is the smallest |W| = r |h(r^2)| over ``radial_n`` radii
+    and ``argmin_nu`` that radius.
     """
 
     rho_in: float
@@ -249,7 +242,7 @@ class PieceCertification:
     min_abs_w: float
     argmin_nu: complex
     certificate: str
-    root_count: int | None
+    root_count: int
     passed: bool
 
 
@@ -263,23 +256,17 @@ class CertificationReport:
 def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
     """Certify that no piece of ``S`` carries a complex point (W = 0).
 
-    A profile piece gets the exact Sturm certificate; only a piece whose
-    defect is not nubar times a polynomial in nu nubar falls back to the
-    grid sweep, which alone uses ``angular_n`` and ``min_mag``.  The
-    certificate reads ``eta_expr``, not the rounded ``eta``: a constant
-    ``eta_scale`` changes no zero of W.  Seams are
-    approached one-sidedly: each piece is certified with its own polynomial
-    up to and including its boundary radii.
+    Every piece gets the exact Sturm certificate of its profile h; a piece
+    whose defect is not nubar h(nu nubar) with h != 0 raises
+    ``FactorizationFailed``.  ``angular_n`` and ``min_mag`` are accepted and
+    ignored, because existing callers still pass them.  The certificate
+    reads ``eta_expr``, not the rounded ``eta``: a constant ``eta_scale``
+    changes no zero of W.  Seams are approached one-sidedly: each piece is
+    certified with its own polynomial up to and including its boundary radii.
     """
-    if radial_n < 64 or angular_n < 64:
-        raise BadParams("certification grids must be at least 64 x 64")
-    certs = []
-    for piece in S.pieces:
-        exact_h = _exact_profile_h(piece)
-        if exact_h is None:
-            certs.append(_grid_certificate(piece, radial_n, angular_n, min_mag))
-        else:
-            certs.append(_sturm_certificate(piece, exact_h, radial_n))
+    if radial_n < 64:
+        raise BadParams("certification needs at least 64 radii")
+    certs = [_sturm_certificate(piece, radial_n) for piece in S.pieces]
     return CertificationReport(
         pieces=tuple(certs),
         min_abs_w=min(c.min_abs_w for c in certs),
@@ -287,20 +274,19 @@ def certify_totally_real(S, radial_n=256, angular_n=256, min_mag=1e-6):
     )
 
 
-def _exact_profile_h(piece):
-    """h as exact integer pairs ``(Re, Im)`` over a common denominator,
-    ``(coefficients lowest degree first, denominator)``, when
-    W = nubar h(nu nubar) with h != 0; None otherwise.
+def _exact_profile_h(xi_expr, eta_expr):
+    """h with W = nubar h(nu nubar), as exact integer pairs ``(Re, Im)`` over
+    a common denominator: ``(coefficients lowest degree first, denominator)``.
+    Raises ``FactorizationFailed`` when W has no such form or h = 0.
 
-    W / eta_scale = d_eta dbar_xi - dbar_eta d_xi with eta = ``eta_expr`` is
-    expanded exactly from the float coefficients of the chart maps, not from
-    the rounded ``defect_field``:
+    W = d_eta dbar_xi - dbar_eta d_xi is expanded exactly from the float
+    coefficients of the chart maps, not from the rounded ``defect_field``:
     the monomials a nu^m1 nubar^n1 of eta and b nu^m2 nubar^n2 of xi
     contribute (m1 n2 - n1 m2) a b to the one monomial
     nu^(m1+m2-1) nubar^(n1+n2-1).
     """
-    xi, xi_den = _integer_terms(piece.xi_expr)
-    eta, eta_den = _integer_terms(piece.eta_expr)
+    xi, xi_den = _integer_terms(xi_expr)
+    eta, eta_den = _integer_terms(eta_expr)
     w = {}
     for (m1, n1), (a, b) in eta.items():
         for (m2, n2), (c, d) in xi.items():
@@ -313,10 +299,12 @@ def _exact_profile_h(piece):
     for (m, n), coeff in w.items():
         if coeff != (0, 0):
             if n != m + 1:
-                return None
+                raise FactorizationFailed(
+                    f"W has a term nu^{m} nubar^{n}, so it is not nubar h(nu nubar)"
+                )
             h[m] = coeff
     if not h:
-        return None
+        raise FactorizationFailed("W vanishes identically: no profile h to certify")
     return [h.get(k, (0, 0)) for k in range(max(h) + 1)], xi_den * eta_den
 
 
@@ -332,8 +320,8 @@ def _integer_terms(field):
     return {k: tuple(n * (den // d) for n, d in pair) for k, pair in ratios.items()}, den
 
 
-def _sturm_certificate(piece, exact_h, radial_n):
-    coeffs, den = exact_h
+def _sturm_certificate(piece, radial_n):
+    coeffs, den = _exact_profile_h(piece.xi_expr, piece.eta_expr)
     lo, hi = Fraction(piece.rho_in), Fraction(piece.rho_out)
     roots = _common_root_count(
         [re for re, _ in coeffs], [im for _, im in coeffs], lo * lo, hi * hi
@@ -354,23 +342,6 @@ def _sturm_certificate(piece, exact_h, radial_n):
         certificate="sturm",
         root_count=roots,
         passed=roots == 0,
-    )
-
-
-def _grid_certificate(piece, radial_n, angular_n, min_mag):
-    theta = 2.0 * np.pi * np.arange(angular_n) / angular_n
-    radii = np.linspace(piece.rho_in, piece.rho_out, radial_n)
-    grid = radii[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(piece.defect_field().eval(grid))
-    k = int(np.argmin(vals))
-    return PieceCertification(
-        rho_in=piece.rho_in,
-        rho_out=piece.rho_out,
-        min_abs_w=float(vals.flat[k]),
-        argmin_nu=complex(grid.flat[k]),
-        certificate="grid",
-        root_count=None,
-        passed=bool(np.all(vals >= min_mag)),
     )
 
 

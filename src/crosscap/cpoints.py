@@ -305,13 +305,14 @@ def _complex_point_reports(W, center, radius, grid_n):
 def quadratic_model_index(alpha, beta):
     """Index of the quadratic model eta = alpha xibar^2 + beta xi xibar at 0.
 
-    dbar of the model on the unit loop is 2 alpha xibar + beta xi, whose
-    winding is -1 when 2|alpha| > |beta| (hyperbolic) and +1 when
-    2|alpha| < |beta| (elliptic).  The winding computation is the ground
-    truth; the modulus comparison only guards the degenerate boundary.
+    dbar of the model is 2 alpha xibar + beta xi, whose winding about 0 is
+    -1 when 2|alpha| > |beta| (hyperbolic) and +1 when 2|alpha| < |beta|
+    (elliptic): the larger term wins on every circle, at any scale.  Raises
+    ``DegenerateQuadratic`` when the moduli agree to a relative
+    ``QUADRATIC_BOUNDARY_REL_TOL``.
     """
-    a, b = complex(alpha), complex(beta)
-    scale = 2.0 * abs(a) + abs(b)
-    if scale == 0 or abs(2.0 * abs(a) - abs(b)) <= QUADRATIC_BOUNDARY_REL_TOL * scale:
+    a, b = abs(complex(alpha)), abs(complex(beta))
+    scale = 2.0 * a + b
+    if scale == 0 or abs(2.0 * a - b) <= QUADRATIC_BOUNDARY_REL_TOL * scale:
         raise DegenerateQuadratic("2|alpha| = |beta|: the model winding is undefined")
-    return winding_of(lambda pts: 2.0 * a * np.conj(pts) + b * pts, Loop(0j, 1.0))
+    return -1 if 2.0 * a > b else 1

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosscap import blowup
 from crosscap.blowup import (
+    C1_INNER_BRACKET,
     C1CrossCapParams,
+    _exact_profile_h,
     _c2_inner_profile,
     build_c1_crosscap,
     build_c2_crosscap,
@@ -21,7 +24,7 @@ from crosscap.blowup import (
     simple_crosscap_surface,
 )
 from crosscap.cpoints import ParamPiece, ParamSurface, surface_defect
-from crosscap.errors import BadParams
+from crosscap.errors import BadParams, FactorizationFailed
 from crosscap.wirtinger import MonomialField
 
 ONE = MonomialField.constant(1.0)
@@ -39,6 +42,44 @@ def printed_bracket_coefficients(c):
     # 5 (1 - y) + c (2 + 5y)
     x2 = MonomialField({(0, 0): 5.0 + 2.0 * c, (0, 1): 5.0 * c - 5.0})
     return const, x1, x2
+
+
+def rebuilt_reality_polynomial(p):
+    """``derive_reality_polynomial`` as it was when it rebuilt the surface and
+    compared both defect fields in floats: the reference for its bits."""
+    x = MonomialField.monomial(1, 0)
+    y = MonomialField.monomial(0, 1)
+    one = MonomialField.constant(1.0)
+    c = p.c
+    a_y = (c - 1.0) * (one - y) * (one - y)
+    b_y = 2.0 * (1.0 - c) * (one - y)
+    P = a_y + b_y * (one - x) + c * (one - x) * (one - x)
+    g = 0.5 * (x * (one - x) * P.d_xi() + 2.0 * (one - 2.0 * x) * P)
+    surface = build_c1_crosscap(p)
+    bracket = surface.pieces[1].defect_field().shift_down(0, 1) * (-0.5)
+    y0 = p.r0 * p.r0
+    expected = {}
+    for (i, j), coeff in g.terms().items():
+        expected[(i, i)] = expected.get((i, i), 0j) + coeff * y0 ** j
+    assert bracket.allclose(MonomialField(expected), tol=1e-10 * max(1.0, abs(c)))
+    inner = 2.0 * (one - x) * (one - x) * (3.0 * x - one)
+    expected_inner = MonomialField({(i, i + 1): v for (i, _), v in inner.terms().items()})
+    assert surface.pieces[0].defect_field().allclose(expected_inner, tol=1e-12)
+    return g, inner, c, y0
+
+
+def bits(field):
+    return {k: (v.real.hex(), v.imag.hex()) for k, v in field.terms().items()}
+
+
+@st.composite
+def capsweep_c1_params(draw):
+    """C1 caps over the capsweep ranges: c in (0.3, 60), eps in (0.05, 0.4),
+    R0 = 1 - eps u with u in (0.1, 0.9)."""
+    c = draw(st.floats(0.3, 60.0, exclude_min=True, exclude_max=True))
+    eps = draw(st.floats(0.05, 0.4))
+    u = draw(st.floats(0.1, 0.9))
+    return C1CrossCapParams(c=c, r0=1.0 - eps * u, eps=eps)
 
 
 class TestMatchingConstants:
@@ -142,6 +183,44 @@ class TestRealityPolynomial:
         expected = 2.0 * (1 - xs) ** 2 * (3 * xs - 1)
         got = np.real(rp.inner_profile.eval_pair(xs.astype(complex), 0j))
         assert np.allclose(got, expected, atol=1e-12)
+
+    def test_inner_bracket_is_the_exact_inner_h(self):
+        # the C1 inner chart xi = t nu, eta = t^2 nubar^2 has W = nubar h(s)
+        # with h = 2 (1-s)^2 (3s-1) = -2 + 10 s - 14 s^2 + 6 s^3, exactly
+        inner = build_c1_crosscap(C1CrossCapParams(c=5.0, r0=0.9, eps=0.3)).pieces[0]
+        coeffs, den = _exact_profile_h(inner.xi_expr, inner.eta_expr)
+        assert [Fraction(re, den) for re, _ in coeffs] == [-2, 10, -14, 6]
+        assert all(im == 0 for _, im in coeffs)
+        assert C1_INNER_BRACKET.terms() == {(0, 0): -2, (1, 0): 10, (2, 0): -14, (3, 0): 6}
+
+    @settings(max_examples=200, deadline=None)
+    @given(capsweep_c1_params())
+    def test_bits_match_the_rebuilt_derivation(self, p):
+        rp = derive_reality_polynomial(p)
+        g, inner, c, y0 = rebuilt_reality_polynomial(p)
+        assert bits(rp.g) == bits(g)
+        assert bits(rp.inner_profile) == bits(inner)
+        assert (rp.c, rp.y0) == (c, y0)
+
+    def test_perturbed_outer_profile_is_caught(self, monkeypatch):
+        unperturbed = blowup._c1_outer_profile
+        monkeypatch.setattr(
+            blowup, "_c1_outer_profile", lambda p: unperturbed(p) + 1e-6 * T
+        )
+        with pytest.raises(FactorizationFailed, match="disagrees"):
+            derive_reality_polynomial(C1CrossCapParams(c=5.0, r0=0.9, eps=0.3))
+
+    def test_needs_no_surface_and_no_defect_field(self, monkeypatch):
+        p = C1CrossCapParams(c=5.0, r0=0.9, eps=0.3)
+        want = derive_reality_polynomial(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derive_reality_polynomial built a surface or a defect field")
+
+        monkeypatch.setattr(blowup, "build_c1_crosscap", refuse)
+        monkeypatch.setattr(ParamPiece, "defect_field", refuse)
+        got = derive_reality_polynomial(p)
+        assert bits(got.g) == bits(want.g) and got.y0 == want.y0
 
     def test_alpha_must_be_one(self):
         with pytest.raises(BadParams):

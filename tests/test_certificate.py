@@ -17,7 +17,7 @@ from crosscap.blowup import (
     simple_crosscap_surface,
 )
 from crosscap.cpoints import ParamPiece, ParamSurface
-from crosscap.errors import BadParams
+from crosscap.errors import BadParams, FactorizationFailed
 from crosscap.wirtinger import MonomialField
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -127,16 +127,20 @@ def test_exact_root_count(p, rho_in, rho_out, roots):
     assert (piece.certificate, piece.root_count, cert.passed) == ("sturm", roots, roots == 0)
 
 
-def test_non_profile_piece_falls_back_to_the_grid():
-    """eta = (1 - s)^2 gives W = 2 (1 - s)^2 nu, which vanishes on |nu| = 1."""
+def test_non_profile_piece_is_rejected():
+    """eta = (1 - s)^2 gives W = 2 (1 - s)^2 nu, which is not nubar h(s)."""
     t = MonomialField({(0, 0): 1.0, (1, 1): -1.0})
     xi = t * MonomialField.monomial(1, 0)
     surf = ParamSurface([ParamPiece(0.5, 1.0, xi, t * t)])
-    cert = certify_totally_real(surf, radial_n=64, angular_n=64, min_mag=1e-6)
-    (piece,) = cert.pieces
-    assert (piece.certificate, piece.root_count, piece.passed) == ("grid", None, False)
-    assert piece.min_abs_w < 1e-12
-    assert not cert.passed
+    with pytest.raises(FactorizationFailed, match="not nubar h"):
+        certify_totally_real(surf, radial_n=64)
+
+
+def test_zero_defect_piece_is_rejected():
+    """eta = 0 gives W = 0, so h = 0 and there is nothing to certify."""
+    surf = ParamSurface([ParamPiece(0.5, 1.0, MonomialField.monomial(1, 0), MonomialField.zero())])
+    with pytest.raises(FactorizationFailed, match="vanishes identically"):
+        certify_totally_real(surf)
 
 
 @pytest.mark.parametrize(

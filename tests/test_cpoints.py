@@ -19,7 +19,7 @@ from crosscap.errors import (
     VanishingOnLoop,
 )
 from crosscap.sections import SectionGraph, SupportFunction, section_from_support
-from crosscap.wirtinger import MonomialField, RationalField
+from crosscap.wirtinger import Loop, MonomialField, RationalField, winding_of
 
 ONE = MonomialField.constant(1.0)
 S = MonomialField({(1, 1): 1.0})
@@ -294,6 +294,10 @@ class TestQuadraticModel:
         with pytest.raises(DegenerateQuadratic):
             quadratic_model_index(1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha, beta, index", [(1e-10, 0.0, -1), (0.0, 1e-10, 1)])
+    def test_index_does_not_depend_on_scale(self, alpha, beta, index):
+        assert quadratic_model_index(alpha, beta) == index
+
     def test_winding_matches_modulus_rule(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
@@ -301,8 +305,8 @@ class TestQuadraticModel:
             beta = complex(*rng.normal(size=2))
             if abs(2 * abs(alpha) - abs(beta)) < 1e-3:
                 continue
-            expected = -1 if 2 * abs(alpha) > abs(beta) else 1
-            assert quadratic_model_index(alpha, beta) == expected
+            winding = winding_of(lambda z: 2 * alpha * np.conj(z) + beta * z, Loop(0j, 1.0))
+            assert quadratic_model_index(alpha, beta) == winding
 
 
 class TestReports:
