@@ -13,16 +13,15 @@ vertex by (Delta C) U(xi) (parallel surfaces).
 
 Umbilics are located at the zeros of dbar F, the complex points of the
 section, found by the zero finder of ``cpoints``.  The shape operator, built
-exactly from the first and second fundamental forms (rational fields in xi
-and xibar, with the sphere direction U as the unit normal), confirms each
-one: its traceless part p + i q in an orthonormal tangent frame must vanish
-there, and the winding of p + i q, halved, is the index of the principal
-foliation.  The derived fields are memoised on the exact section, support
-and constant of the last surface, so reconstructing a surface and then
-analysing it builds them once; equal inputs give bit-identical fields.
+from the first and second fundamental forms with the sphere direction U as
+the unit normal, confirms each one: its traceless part p + i q in an
+orthonormal tangent frame must vanish there, and the winding of p + i q,
+halved, is the index of the principal foliation.  The tangents of the
+surface come by the chain rule from the jets of the section and the support
+(F, dF/dxi, dF/dxibar, r and dr/dxi, exact fields of the size of F and r),
+and U and its derivatives are closed forms in xi.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,7 @@ import numpy as np
 from .cpoints import _disc_grid, _isolated_zeros
 from .errors import EmptyMesh, NotImmersed
 from .linespace import direction_vector, line_to_vectors, vectors_to_line
-from .wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, require_radius, winding_of
+from .wirtinger import Loop, _is_int, require_radius, winding_of
 
 ORTHOGONALITY_STEP = 1e-3      # chart step of support_property_check's differences
 # principal_analysis, relative to the shape-operator scale: a defect at or below
@@ -92,6 +91,11 @@ class MeshR3:
         return self.points.shape[:2]
 
 
+def _require_finite_constant(C):
+    if not np.isfinite(C):
+        raise ValueError(f"the constant C must be finite, got {C!r}")
+
+
 def reconstruct_surface(F, r, C, disc_radius=0.9, grid=(24, 48), attach_defect=False):
     """Mesh of the surface with support r + C over a polar lattice in xi.
 
@@ -101,9 +105,13 @@ def reconstruct_surface(F, r, C, disc_radius=0.9, grid=(24, 48), attach_defect=F
     per-vertex scalar channel ``"umbilic_defect"``.
     """
     require_radius(disc_radius, "disc radius")
-    if not np.isfinite(C):
-        raise ValueError(f"the constant C must be finite, got {C!r}")
+    _require_finite_constant(C)
     n_rad, n_ang = grid
+    min_rows, min_cols = MIN_MESH_GRID
+    if not (_is_int(n_rad) and _is_int(n_ang) and n_rad >= min_rows and n_ang >= min_cols):
+        raise EmptyMesh(
+            f"mesh grid {n_rad!r}x{n_ang!r} must be integers of at least {min_rows}x{min_cols}"
+        )
     radii = np.linspace(disc_radius / n_rad, disc_radius, n_rad)
     angles = np.linspace(0.0, 2.0 * np.pi, n_ang)
     zz = radii[:, None] * np.exp(1j * angles[None, :])
@@ -160,63 +168,6 @@ def support_property_check(mesh, F, r, C):
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_fields(N, p, R):
-    """The three Euclidean coordinates of the reconstruction as rational fields,
-    for the section N / (1 + xi xibar)^p and the support field R."""
-    xi = MonomialField.xi()
-    xibar = MonomialField.xibar()
-    s = MonomialField({(1, 1): 1.0})
-    Nb = N.conj()
-    den = p + 2
-    num12 = 2.0 * (N - Nb * xi * xi) + 2.0 * xi * ONE_PLUS_S ** (p + 1) * R
-    num3 = -2.0 * (N * xibar + Nb * xi) + (MonomialField.constant(1.0) - s) * ONE_PLUS_S ** (
-        p + 1
-    ) * R
-    x1 = RationalField(0.5 * (num12 + num12.conj()), den)
-    x2 = RationalField(-0.5j * (num12 - num12.conj()), den)
-    x3 = RationalField(0.5 * (num3 + num3.conj()), den)
-    return x1, x2, x3
-
-
-def _chart_derivs(f):
-    """Real-coordinate derivatives (d/dx1, d/dx2) of a rational field."""
-    fx = f.d_xi()
-    fy = f.d_xibar()
-    return fx + fy, 1j * (fx - fy)
-
-
-def _unit_normal_derivs():
-    """Chart derivatives of the three components of the unit normal U(xi)."""
-    xi = MonomialField.xi()
-    xibar = MonomialField.xibar()
-    one = MonomialField.constant(1.0)
-    s = MonomialField({(1, 1): 1.0})
-    U1 = RationalField(xi + xibar, 1)
-    U2 = RationalField(-1j * (xi - xibar), 1)
-    U3 = RationalField(one - s, 1)
-    return tuple(_chart_derivs(u) for u in (U1, U2, U3))
-
-
-# The unit normal is the sphere direction, the same for every surface.
-_NORMAL_DERIVS = _unit_normal_derivs()
-
-
-@functools.lru_cache(maxsize=1)
-def _tangent_fields(num, den_power, r, C):
-    """Chart derivatives of the coordinate fields of the surface with section
-    num / (1 + xi xibar)^den_power and support r + C.
-
-    Memoised on these exact inputs, so ``reconstruct_surface`` and then
-    ``principal_analysis`` on one surface build the fields once.  A hit is
-    bit-identical to a fresh build: equal fields have equal coefficients, the
-    field constructor turns signed zeros into +0.0, a zero C adds no term,
-    and no coefficient sum of the build depends on the term order of the
-    inputs.
-    """
-    coords = _coordinate_fields(num, den_power, r + MonomialField.constant(C))
-    return tuple(_chart_derivs(c) for c in coords)
-
-
 @dataclass(frozen=True)
 class UmbilicReport:
     location: complex
@@ -235,29 +186,68 @@ class PrincipalReport:
 
 
 class _ShapeOperatorField:
-    """Pointwise traceless shape-operator data for a support pair."""
+    """Pointwise traceless shape-operator data for a support pair.
+
+    With B = dU/dxi, the surface is X = eta B + conj(eta B) + R U for
+    eta = F and R = r + C, and dB/dxi = -2 xibar B / S, dB/dxibar =
+    -2 U / S^2 with S = 1 + xi xibar.  So its tangent is
+
+        dX/dxi = (dF/dxi + R - 2 xibar eta / S) B + conj(dF/dxibar) conj(B)
+                 + (dR/dxi - 2 conj(eta) / S^2) U,
+
+    and five small fields (F, dF/dxi, dF/dxibar, r, dr/dxi) give every
+    tangent and, with the unit normal U, every normal derivative.
+    """
 
     def __init__(self, F, r, C):
-        self._tangent = _tangent_fields(F.F.num, F.F.den_power, r.r, complex(C))
-        self._normal_deriv = _NORMAL_DERIVS
+        self._F = F.F
+        self._F_xi = F.F.d_xi()
+        self._F_xibar = F.F.d_xibar()
+        self._r = r.r
+        self._r_xi = r.r.d_xi()
+        self._C = C
+
+    def _forms(self, zz):
+        """I11, I12, I22 and the symmetrised II11, II12, II22 at the points
+        ``zz``, stacked along a new first axis."""
+        zb = np.conj(zz)
+        s = (zz * zb).real
+        S = 1.0 + s
+        S2 = S * S
+        eta = self._F.eval(zz)
+        R = np.real(self._r.eval(zz)) + self._C
+        # dX/dxi = b_coeff B + bbar_coeff conj(B) + u_coeff U
+        b_coeff = self._F_xi.eval(zz) + R - 2.0 * zb * eta / S
+        bbar_coeff = np.conj(self._F_xibar.eval(zz))
+        u_coeff = self._r_xi.eval(zz) - 2.0 * np.conj(eta) / S2
+        # full-size temporaries go as soon as they are used: a large mesh
+        # holds only a few at a time
+        del eta, R
+        B = ((1.0 - zb * zb) / S2, -1j * (1.0 + zb * zb) / S2, -2.0 * zb / S2)
+        U = (2.0 * zz.real / S, 2.0 * zz.imag / S, (1.0 - s) / S)
+        del zb, s, S, S2
+        # chart tangents t_k = dX/dx_k and normal derivatives n_k = dU/dx_k,
+        # summed into I_ij = t_i . t_j and II_ij = -t_i . n_j one component at a
+        # time, in place in one block, so a large mesh allocates no sum arrays
+        # per component
+        forms = np.zeros((6,) + zz.shape)
+        for Bc, Uc in zip(B, U):
+            A = b_coeff * Bc
+            A += bbar_coeff * np.conj(Bc)
+            A += u_coeff * Uc
+            t1, t2 = 2.0 * A.real, -2.0 * A.imag
+            n1, n2 = 2.0 * Bc.real, -2.0 * Bc.imag
+            forms[0] += t1 * t1
+            forms[1] += t1 * t2
+            forms[2] += t2 * t2
+            forms[3] -= t1 * n1
+            forms[4] -= 0.5 * (t1 * n2 + t2 * n1)
+            forms[5] -= t2 * n2
+        return forms
 
     def evaluate(self, zz):
         """Return (p, q, defect, det_I) arrays at the points ``zz``."""
-        zz = np.asarray(zz, dtype=complex)
-        t = np.empty((3, 2) + zz.shape, dtype=float)
-        nd = np.empty((3, 2) + zz.shape, dtype=float)
-        for c in range(3):
-            for k in range(2):
-                t[c, k] = np.real(self._tangent[c][k].eval(zz))
-                nd[c, k] = np.real(self._normal_deriv[c][k].eval(zz))
-        I11 = np.sum(t[:, 0] * t[:, 0], axis=0)
-        I12 = np.sum(t[:, 0] * t[:, 1], axis=0)
-        I22 = np.sum(t[:, 1] * t[:, 1], axis=0)
-        II = np.empty((2, 2) + zz.shape, dtype=float)
-        for i in range(2):
-            for j in range(2):
-                II[i, j] = -np.sum(t[:, i] * nd[:, j], axis=0)
-        II12 = 0.5 * (II[0, 1] + II[1, 0])
+        I11, I12, I22, II11, II12, II22 = self._forms(np.asarray(zz, dtype=complex))
         det_I = I11 * I22 - I12 * I12
         bad = (I11 <= 1e-12) | (det_I <= 1e-12)
         if np.any(bad):
@@ -265,10 +255,10 @@ class _ShapeOperatorField:
         l11 = np.sqrt(I11)
         l21 = I12 / l11
         l22 = np.sqrt(I22 - l21 * l21)
-        B11 = II[0, 0] / l11
+        B11 = II11 / l11
         B12 = II12 / l11
         B21 = (II12 - l21 * B11) / l22
-        B22 = (II[1, 1] - l21 * B12) / l22
+        B22 = (II22 - l21 * B12) / l22
         S11 = B11 / l11
         S12 = -B11 * l21 / (l11 * l22) + B12 / l22
         S21 = B21 / l11
@@ -287,6 +277,9 @@ def principal_analysis(F, r, C, disc_radius=0.6, grid_n=41):
     the half-integer index is the winding of p + i q halved.
     """
     require_radius(disc_radius, "disc radius")
+    _require_finite_constant(C)
+    if not (_is_int(grid_n) and grid_n >= 16):
+        raise ValueError(f"grid_n must be an integer of at least 16, got {grid_n!r}")
     shape = _ShapeOperatorField(F, r, C)
     zz, _ = _disc_grid(0j, disc_radius, grid_n)
     mask = np.abs(zz) <= disc_radius

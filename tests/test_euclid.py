@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,7 +13,6 @@ from crosscap.errors import EmptyMesh
 from crosscap.euclid import (
     MeshR3,
     _ShapeOperatorField,
-    _tangent_fields,
     export_csv,
     export_obj,
     line_distance,
@@ -25,7 +25,7 @@ from crosscap.euclid import (
 )
 from crosscap.linespace import OrientedLine, direction_vector
 from crosscap.sections import SupportFunction, section_from_support
-from crosscap.wirtinger import Loop, MonomialField, winding_of
+from crosscap.wirtinger import ONE_PLUS_S, Loop, MonomialField, RationalField, winding_of
 
 CUBIC = SupportFunction(MonomialField({(3, 0): 2.0 / 3.0, (0, 3): 2.0 / 3.0}))
 QUADRATIC = SupportFunction(MonomialField({(1, 1): 1.0}))
@@ -102,6 +102,20 @@ class TestReconstruction:
         # the defect shrinks towards the umbilic at the origin
         assert defect[0].max() < defect[-1].min()
 
+    @pytest.mark.parametrize("grid", [(0, 5), (-3, 4), (2.5, 4), (1, 5), (2, 2), (4, 3.0)])
+    def test_grid_below_the_minimum_or_not_integers_rejected(self, grid):
+        def unreachable(_):
+            raise AssertionError("the grid is checked before any evaluation")
+
+        sec = SimpleNamespace(F=SimpleNamespace(eval=unreachable))
+        with pytest.raises(EmptyMesh, match="must be integers of at least 2x3"):
+            reconstruct_surface(sec, CUBIC, 3.0, grid=grid)
+
+    def test_smallest_grid_accepted(self):
+        sec = section_from_support(CUBIC)
+        mesh = reconstruct_surface(sec, CUBIC, 3.0, disc_radius=0.5, grid=(2, np.int64(3)))
+        assert mesh.shape == (2, 3)
+
     def test_parallel_translation_is_exact(self):
         sec = section_from_support(CUBIC)
         mesh1 = reconstruct_surface(sec, CUBIC, 1.0, disc_radius=0.9, grid=(10, 16))
@@ -166,6 +180,18 @@ class TestPrincipalAnalysis:
                 analyse(sec, CUBIC, 3.0, disc_radius=radius)
         with pytest.raises(ValueError, match="disc radius"):
             find_complex_points(sec, 0j, radius)
+
+    @pytest.mark.parametrize("C", [float("inf"), float("nan")])
+    def test_constant_must_be_finite(self, C):
+        sec = section_from_support(CUBIC)
+        with pytest.raises(ValueError, match="the constant C must be finite"):
+            principal_analysis(sec, CUBIC, C, disc_radius=0.5)
+
+    @pytest.mark.parametrize("grid_n", [1, 2, 2.5, 15])
+    def test_grid_n_must_be_an_integer_of_at_least_16(self, grid_n):
+        sec = section_from_support(CUBIC)
+        with pytest.raises(ValueError, match="grid_n must be an integer of at least 16"):
+            principal_analysis(sec, CUBIC, 3.0, disc_radius=0.5, grid_n=grid_n)
 
     def test_cubic_example_umbilic(self):
         sec = section_from_support(CUBIC)
@@ -265,79 +291,131 @@ class TestPrincipalAnalysis:
         assert rep1.umbilics[0].index == rep2.umbilics[0].index
 
 
-def shifted_support(seed, shift=6.0):
-    """A random degree-5 support plus a constant, immersed on the 0.5 disc even at C = 0."""
-    r = random_real_support(np.random.default_rng(seed), max_degree=5)
+def shifted_support(seed, degree=5, shift=6.0):
+    """A random support plus a constant, immersed on the 0.5 disc even at C = 0."""
+    r = random_real_support(np.random.default_rng(seed), max_degree=degree)
     return SupportFunction(r.r + MonomialField.constant(shift))
 
 
-class TestShapeOperatorMemo:
+def exact_field_shape(sec, r, C, zz):
+    """(p, q, defect, det_I, kappa) from the coordinate fields of the surface
+    expanded and differentiated as exact rational fields.
+
+    A reference for ``_ShapeOperatorField``: it takes another route to the
+    same tangents.  kappa = (I11 + I22)^2 / (4 det_I) >= 1, the conformal
+    condition number of I, is the factor by which the Cholesky factor of I
+    amplifies rounding: 1 for a conformal chart, large next to a fold.
+    """
+    xi, xibar = MonomialField.xi(), MonomialField.xibar()
+    one, s = MonomialField.constant(1.0), MonomialField({(1, 1): 1.0})
+    N, p = sec.F.num, sec.F.den_power
+    R = r.r + MonomialField.constant(C)
+    num12 = 2.0 * (N - N.conj() * xi * xi) + 2.0 * xi * ONE_PLUS_S ** (p + 1) * R
+    num3 = -2.0 * (N * xibar + N.conj() * xi) + (one - s) * ONE_PLUS_S ** (p + 1) * R
+    coords = (
+        RationalField(0.5 * (num12 + num12.conj()), p + 2),
+        RationalField(-0.5j * (num12 - num12.conj()), p + 2),
+        RationalField(0.5 * (num3 + num3.conj()), p + 2),
+    )
+    normal = (
+        RationalField(xi + xibar, 1),
+        RationalField(-1j * (xi - xibar), 1),
+        RationalField(one - s, 1),
+    )
+
+    def chart_derivs(f):
+        fx, fy = f.d_xi().eval(zz), f.d_xibar().eval(zz)
+        return np.real(fx + fy), np.real(1j * (fx - fy))
+
+    t = np.array([chart_derivs(c) for c in coords])
+    nd = np.array([chart_derivs(u) for u in normal])
+    I11, I12, I22 = (np.sum(t[:, i] * t[:, j], axis=0) for i, j in ((0, 0), (0, 1), (1, 1)))
+    II = [[-np.sum(t[:, i] * nd[:, j], axis=0) for j in range(2)] for i in range(2)]
+    II12 = 0.5 * (II[0][1] + II[1][0])
+    det_I = I11 * I22 - I12 * I12
+    l11 = np.sqrt(I11)
+    l21 = I12 / l11
+    l22 = np.sqrt(I22 - l21 * l21)
+    B11, B12 = II[0][0] / l11, II12 / l11
+    B21, B22 = (II12 - l21 * B11) / l22, (II[1][1] - l21 * B12) / l22
+    p = 0.5 * (B11 / l11 + B21 * l21 / (l11 * l22) - B22 / l22)
+    q = 0.5 * (-B11 * l21 / (l11 * l22) + B12 / l22 + B21 / l11)
+    kappa = (I11 + I22) ** 2 / (4.0 * det_I)
+    return p, q, np.hypot(p, q), det_I, kappa
+
+
+class TestShapeOperatorJets:
     ZZ, _ = _disc_grid(0j, 0.5, 21)
 
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        _tangent_fields.cache_clear()
-        yield
-        _tangent_fields.cache_clear()
+    @pytest.mark.parametrize("C", [8.0, 0.0, -2.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_exact_coordinate_fields(self, seed, C):
+        # degrees 3 to 6; seeds 3 and 7 come within det_I = 0.2 and 0.03 of a
+        # fold at C = -2, where both routes lose digits in proportion to kappa.
+        # The section of another support leaves the lines off the surface
+        # normal, which only the dR/dxi - 2 conj(eta) / S^2 term accounts for.
+        r = shifted_support(seed, degree=3 + seed % 4)
+        rng = np.random.default_rng(1000 + seed)
+        random_pts = 0.5 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+        other = shifted_support(100 + seed, degree=3 + seed % 4)
+        for sec, zz in itertools.product(
+            (section_from_support(r), section_from_support(other)), (self.ZZ, random_pts)
+        ):
+            p, q, defect, det_I = _ShapeOperatorField(sec, r, C).evaluate(zz)
+            p0, q0, defect0, det0, kappa = exact_field_shape(sec, r, C, zz)
+            scale = float(np.median(np.hypot(p0, q0) + defect0) + np.max(defect0))
+            for got, want in ((p, p0), (q, q0), (defect, defect0)):
+                assert np.all(np.abs(got - want) <= 1e-12 * scale * kappa)
+            assert np.all(np.abs(det_I - det0) <= 1e-12 * kappa * det0)
 
-    def built_fresh(self, sec, r, C):
-        """(p, q, defect, det_I) bytes from fields built with nothing memoised."""
-        _tangent_fields.cache_clear()
-        return self.evaluated(sec, r, C)
+    @pytest.mark.parametrize("C", [8.0, 0.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_det_I_matches_differences_of_the_mesh_map(self, seed, C):
+        r = shifted_support(seed, degree=3 + seed % 4)
+        sec = section_from_support(r)
+        zz = self.ZZ
 
-    def evaluated(self, sec, r, C):
-        return [a.tobytes() for a in _ShapeOperatorField(sec, r, C).evaluate(self.ZZ)]
+        def surface(z):
+            return point_from_line(z, sec.F.eval(z), np.real(r.r.eval(z)) + C)
 
-    def test_same_call_twice_hits(self):
+        h = 1e-3
+        t1, t2 = (
+            (-surface(zz + 2 * h * d) + 8.0 * surface(zz + h * d)
+             - 8.0 * surface(zz - h * d) + surface(zz - 2 * h * d)) / (12.0 * h)
+            for d in (1.0, 1j)
+        )
+        det_diff = (
+            np.sum(t1 * t1, axis=-1) * np.sum(t2 * t2, axis=-1) - np.sum(t1 * t2, axis=-1) ** 2
+        )
+        _, _, _, det_I = _ShapeOperatorField(sec, r, C).evaluate(zz)
+        assert np.max(np.abs(det_I - det_diff) / det_I) < 1e-7
+
+    def test_empty_array_and_scalar_point(self):
         r = shifted_support(1)
-        sec = section_from_support(r)
-        first = self.evaluated(sec, r, 8.0)
-        second = self.evaluated(sec, r, 8.0)
-        assert _tangent_fields.cache_info().hits == 1
-        assert first == second == self.built_fresh(sec, r, 8.0)
+        shape = _ShapeOperatorField(section_from_support(r), r, 8.0)
+        for out in shape.evaluate(np.array([], dtype=complex)):
+            assert out.shape == (0,)
+        z = 0.3 - 0.2j
+        for got, want in zip(shape.evaluate(z), shape.evaluate(np.array([z]))):
+            assert np.ndim(got) == 0
+            assert got == pytest.approx(want[0], rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("C_first, C_then", [(8.0, 3.0), (8, 8.0), (0.0, -0.0), (-0.0, 0.0)])
-    def test_constant_after_another(self, C_first, C_then):
-        r = shifted_support(2)
-        sec = section_from_support(r)
-        self.evaluated(sec, r, C_first)
-        assert self.evaluated(sec, r, C_then) == self.built_fresh(sec, r, C_then)
-
-    def test_equal_constants_share_an_entry(self):
-        r = shifted_support(3)
-        sec = section_from_support(r)
-        for C in (8, 8.0, np.float64(8.0), 0.0, -0.0):
-            self.evaluated(sec, r, C)
-        assert _tangent_fields.cache_info().hits == 3
-
-    def test_other_support_with_the_same_section(self):
-        r1, r2 = shifted_support(4), shifted_support(5)
-        sec = section_from_support(r1)
-        self.evaluated(sec, r1, 8.0)
-        then = self.evaluated(sec, r2, 8.0)
-        assert _tangent_fields.cache_info().hits == 0
-        assert then == self.built_fresh(sec, r2, 8.0)
-
-    def test_equal_support_in_another_term_order(self):
+    def test_equal_inputs_give_identical_bytes(self):
         r = shifted_support(6)
         reordered = SupportFunction(MonomialField(dict(reversed(list(r.r.terms().items())))))
-        sec = section_from_support(r)
-        self.evaluated(sec, r, 8.0)
-        hit = self.evaluated(sec, reordered, 8.0)
-        assert _tangent_fields.cache_info().hits == 1
-        assert hit == self.built_fresh(sec, reordered, 8.0)
 
-    def test_no_stale_entry_between_reconstruction_and_analysis(self):
-        r = shifted_support(7)
-        sec = section_from_support(r)
-        mesh = reconstruct_surface(sec, r, 8, disc_radius=0.5, grid=(6, 12), attach_defect=True)
-        report = principal_analysis(sec, r, 3, disc_radius=0.5, grid_n=21)
-        _tangent_fields.cache_clear()
-        assert repr(report) == repr(principal_analysis(sec, r, 3, disc_radius=0.5, grid_n=21))
-        _tangent_fields.cache_clear()
-        fresh = reconstruct_surface(sec, r, 8, disc_radius=0.5, grid=(6, 12), attach_defect=True)
-        defect = mesh.scalars["umbilic_defect"]
-        assert defect.tobytes() == fresh.scalars["umbilic_defect"].tobytes()
+        def evaluated(support, C):
+            sec = section_from_support(support)
+            return [a.tobytes() for a in _ShapeOperatorField(sec, support, C).evaluate(self.ZZ)]
+
+        first = evaluated(r, 8.0)
+        assert evaluated(r, 8.0) == first
+        assert evaluated(r, 8) == first
+        assert evaluated(reordered, 8.0) == first
+        assert evaluated(r, 0.0) == evaluated(r, -0.0)
+        shape = _ShapeOperatorField(section_from_support(r), r, 3.0)
+        again = [a.tobytes() for a in shape.evaluate(self.ZZ)]
+        assert [a.tobytes() for a in shape.evaluate(self.ZZ)] == again
 
 
 class TestRuledFamily:
